@@ -165,6 +165,8 @@ def cmd_embed(args: argparse.Namespace) -> None:
 
 
 def cmd_hubs(args: argparse.Namespace) -> None:
+    if (args.hub_top is None) == (args.hub_threshold is None):
+        raise ValueError("give exactly one of --hub-top or --hub-threshold")
     if args.method == "row_norm":
         if args.embedding is None:
             raise ValueError("--method row_norm needs --embedding")
@@ -176,8 +178,6 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         if not 0 <= args.view < graph.m:
             raise ValueError(f"--view {args.view} out of range for {graph.m} views")
         scores = betweenness(graph.views[args.view])
-    if args.hub_top is None and args.hub_threshold is None:
-        raise ValueError("give --hub-top or --hub-threshold")
     report = hub_report(scores, args.method, top=args.hub_top,
                         threshold=args.hub_threshold)
     _write_json(args.out, json.loads(report.to_json()), args)

@@ -5,15 +5,25 @@ off the solver output: the row-sparse penalty drives boundary-spanning rows
 toward zero, so a SMALL norm marks a hub. Shortest-path betweenness is the
 classic standalone baseline, where a LARGE score marks a hub; affinities
 convert to distances as 1/a_ij.
+
+Betweenness follows Brandes (J. Math. Sociol. 2001) with every source
+handled at once in array code. `scipy.sparse.csgraph.dijkstra` gives the
+all-pairs distances; each source settles its nodes in a stable argsort of
+its distance row. A forward pass over the settle ranks sums the path
+counts of each node's shortest-path predecessors, and a backward pass over
+the ranks in reverse pushes dependencies back to them, recomputing the
+predecessor masks rather than storing them. Time is O(n^3) in n steps of
+n-by-n array work; memory is O(n^2).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .graph import MultiViewGraph
 
@@ -89,52 +99,62 @@ def betweenness(view: np.ndarray) -> np.ndarray:
     """Shortest-path betweenness of each node on one weighted view.
 
     Edge distance is 1/a_ij for a_ij > 0 (strong affinity = short hop);
-    zero affinities are non-edges. Scores are unnormalized pair counts:
-    each unordered source/target pair splits one unit over its shortest
-    paths, credited to intermediate nodes; disconnected pairs contribute
-    nothing. Uniformly rescaling all affinities leaves the scores unchanged.
+    zero affinities are non-edges. Edges are read directionally, row to
+    column, so a view that is symmetric only within SYMMETRY_TOL is used as
+    given. Scores are unnormalized pair counts: each unordered
+    source/target pair splits one unit over its shortest paths, credited to
+    intermediate nodes; disconnected pairs contribute nothing. Rescaling
+    all affinities by a power of two leaves the scores bitwise unchanged;
+    other factors can make or break float ties (below).
+
+    Float-tie rule: a path length is the float sum of its edge distances,
+    added outward from the source. Two paths tie only when their lengths
+    are exactly equal (`==`, no tolerance), so routes that are equal on
+    paper but round differently (0.1 + 0.2 against 0.3) do not tie, while
+    dyadic ones (0.25 + 0.25 against 0.5) do. Each pair is scored from
+    both endpoints and halved, so a tie that rounding keeps from one end
+    only counts half. Nodes at equal distance from a source settle in
+    node-index order. The rule assumes that adding an edge distance to a
+    path length always changes it, which holds unless the largest and
+    smallest affinity differ by a factor near 2**53 / n.
     """
     a = np.asarray(view, dtype=np.float64)
     n = a.shape[0]
-    scores = np.zeros(n)
-    neighbors = [np.flatnonzero(a[i] > 0) for i in range(n)]
-    for source in range(n):
-        # Dijkstra with shortest-path counts and predecessor lists.
-        dist = np.full(n, np.inf)
-        sigma = np.zeros(n)
-        preds = [[] for _ in range(n)]
-        order = []
-        dist[source] = 0.0
-        sigma[source] = 1.0
-        seen = np.zeros(n, dtype=bool)
-        heap = [(0.0, source)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if seen[v]:
-                continue
-            seen[v] = True
-            order.append(v)
-            for w in neighbors[v]:
-                if seen[w]:
-                    continue
-                cand = d + 1.0 / a[v, w]
-                if cand < dist[w]:
-                    dist[w] = cand
-                    sigma[w] = sigma[v]
-                    preds[w] = [v]
-                    heapq.heappush(heap, (cand, w))
-                elif cand == dist[w]:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        # Back-propagate pair dependencies in reverse settle order.
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                scores[w] += delta[w]
+    edges = a > 0
+    length = np.full((n, n), np.inf)
+    length[edges] = 1.0 / a[edges]
+    dist = dijkstra(csr_matrix(np.where(edges, length, 0.0)), directed=True)
+    # NaN makes every comparison with an unreachable node False, so it is
+    # never a predecessor and never has one; argsort settles it last.
+    dist[np.isinf(dist)] = np.nan
+    order = np.argsort(dist, axis=1, kind="stable")
+    into = np.ascontiguousarray(length.T)  # into[w, v] = length of edge v -> w
+    src = np.arange(n)
+
+    def predecessors(rank):
+        # pred[s, v]: edge v -> w ends a shortest s-w path, w settled at rank.
+        w = order[:, rank]
+        return w, dist + into[w] == dist[src, w][:, None]
+
+    # Forward pass: path counts sigma[s, w], one settle rank at a time.
+    sigma = np.zeros((n, n))
+    np.fill_diagonal(sigma, 1.0)
+    for rank in range(1, n):
+        w, pred = predecessors(rank)
+        sigma[src, w] = np.where(pred, sigma, 0.0).sum(axis=1)
+    # Backward pass: dependencies delta[s, v], pushed from each node to its
+    # predecessors in reverse settle order. sigma[s, w] is 0 only where w is
+    # unreachable, and then pred is empty, so the shares divided by it are
+    # discarded.
+    delta = np.zeros((n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rank in range(n - 1, 0, -1):
+            w, pred = predecessors(rank)
+            share = sigma / sigma[src, w][:, None] * (1.0 + delta[src, w])[:, None]
+            delta += np.where(pred, share, 0.0)
+    np.fill_diagonal(delta, 0.0)
     # Each unordered pair was counted from both endpoints.
-    return scores / 2.0
+    return delta.sum(axis=0) / 2.0
 
 
 def remove_hub_edges(graph: MultiViewGraph, hubs) -> MultiViewGraph:

@@ -119,6 +119,18 @@ class TestHubsCommand:
         assert code != 0
         assert "hub-top" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("selection", [[], ["--hub-top", 3, "--hub-threshold", 1.0]])
+    def test_selection_checked_before_scoring(self, generated, tmp_path, capsys,
+                                              monkeypatch, selection):
+        def fail(view):
+            raise AssertionError("betweenness ran before the selection check")
+
+        monkeypatch.setattr("mvgehd.cli.betweenness", fail)
+        code = run("hubs", "--method", "betweenness", "--manifest",
+                   generated / "manifest.json", *selection, "--out", tmp_path / "h.json")
+        assert code != 0
+        assert "hub-top" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestClusterAndEvaluate:
     def test_node_clustering_pipeline(self, generated, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from mvgehd.graph import MultiViewGraph, validate_affinity
 from mvgehd.hubs import (
@@ -127,6 +128,73 @@ class TestBetweenness:
         a[1, 2] = a[2, 1] = 1.0
         # nodes 3, 4 isolated: only the 0-2 pair routes through 1
         np.testing.assert_allclose(betweenness(a), [0, 1, 0, 0, 0])
+
+    def test_dyadic_routes_tie_exactly(self):
+        # 0-1-2 costs 0.25 + 0.25 and 0-2 costs 0.5: both sums are exact,
+        # so the 0-2 pair splits and node 1 carries half of it.
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 4.0
+        a[0, 2] = a[2, 0] = 2.0
+        np.testing.assert_array_equal(betweenness(a), [0, 0.5, 0])
+        np.testing.assert_array_equal(brute_betweenness(a), [0, 0.5, 0])
+
+    def test_routes_equal_on_paper_do_not_tie(self):
+        # 0-1-3 costs 0.1 + 0.2 and 0-2-3 costs 0.15 + 0.15; both are 0.3 on
+        # paper, but the first rounds to 0.30000000000000004, so only node 2
+        # carries the 0-3 pair. Node 0 carries the 1-2 pair (0.25 < 0.35).
+        a = np.zeros((4, 4))
+        for i, j, affinity in ((0, 1, 10.0), (1, 3, 5.0), (0, 2, 1 / 0.15), (2, 3, 1 / 0.15)):
+            a[i, j] = a[j, i] = affinity
+        assert 1 / a[0, 1] + 1 / a[1, 3] > 1 / a[0, 2] + 1 / a[2, 3]
+        np.testing.assert_array_equal(betweenness(a), [1, 0, 1, 0])
+        np.testing.assert_array_equal(brute_betweenness(a), [1, 0, 1, 0])
+
+    def test_one_ended_tie_counts_half(self):
+        # Path 0-1-2-3 costs 0.1, 0.2, 0.3 and edge 0-3 costs 0.6. Summed
+        # from node 0 the path is 0.6000000000000001 and loses; summed from
+        # node 3 it is 0.6 and ties, so nodes 1 and 2 each get a quarter of
+        # the 0-3 pair on top of the 0-2 and 1-3 pairs they carry alone.
+        a = np.zeros((4, 4))
+        for i, j, dist in ((0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 3, 0.6)):
+            a[i, j] = a[j, i] = 1 / dist
+        np.testing.assert_array_equal(betweenness(a), [0, 1.25, 1.25, 0])
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_edgeless_view_scores_zero(self, n):
+        np.testing.assert_array_equal(betweenness(np.zeros((n, n))), np.zeros(n))
+
+
+def networkx_betweenness(a):
+    """networkx Brandes betweenness on the upper triangle, distances 1/a_ij."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(range(a.shape[0]))
+    rows, cols = np.nonzero(np.triu(a, 1))
+    graph.add_weighted_edges_from(
+        ((int(i), int(j), 1.0 / a[i, j]) for i, j in zip(rows, cols)), weight="dist")
+    scores = nx.betweenness_centrality(graph, weight="dist", normalized=False)
+    return np.array([scores[i] for i in range(a.shape[0])])
+
+
+class TestBetweennessNetworkxOracle:
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_symmetric_weighted(self, n):
+        a = random_weighted_graph(np.random.default_rng(n), n, density=0.3)
+        np.testing.assert_allclose(betweenness(a), networkx_betweenness(a), rtol=0, atol=1e-9)
+
+    def test_unweighted_heavy_ties(self):
+        a = (random_weighted_graph(np.random.default_rng(7), 40, density=0.15) > 0) * 1.0
+        np.testing.assert_allclose(betweenness(a), networkx_betweenness(a), rtol=0, atol=1e-9)
+
+    def test_two_components_and_isolated_node(self):
+        rng = np.random.default_rng(8)
+        a = np.zeros((22, 22))
+        a[:12, :12] = random_weighted_graph(rng, 12, 0.4)
+        a[12:21, 12:21] = random_weighted_graph(rng, 9, 0.5)
+        assert connected_components(a, directed=False)[0] == 3
+        got = betweenness(a)
+        np.testing.assert_allclose(got, networkx_betweenness(a), rtol=0, atol=1e-9)
+        assert got[21] == 0.0
 
 
 class TestRemoveHubEdges:
