@@ -15,23 +15,29 @@ embeds the invoking configuration and the library version, so identical
 configs and seeds reproduce results bit for bit. Failures print a
 machine-readable JSON object to stderr and exit nonzero.
 
-The MVGEHD_THREADS environment variable caps worker threads for per-subject
-embedding (default: all cores).
+Cohort commands (cluster-subjects, sweep-k) load every subject once and run
+the per-subject embeddings, and sweep-k's per-k scoring, on a pool of worker
+processes started with fork. The MVGEHD_THREADS environment variable caps the
+worker processes (default: the cores this process may run on).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .clustering import KMeansConfig, cluster_subjects, node_clusters
+from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
 from .graph import load_matrix_csv, load_multiview, save_matrix_csv, save_multiview
 from .hubs import betweenness, hub_report, hub_scores
 from .metrics import evaluate
@@ -46,6 +52,8 @@ def _worker_count() -> int:
         if count < 1:
             raise ValueError(f"MVGEHD_THREADS must be >= 1, got {env}")
         return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -97,10 +105,26 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
     )
 
 
-def _embed_cohort(manifest_paths, config_for_k) -> list:
-    graphs = [load_multiview(p) for p in manifest_paths]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(lambda g: solve(g, config_for_k)[0], graphs))
+@contextlib.contextmanager
+def _process_pool():
+    """The worker processes of one cohort command.
+
+    Threads would serialize the many small solves on the interpreter lock.
+    Fork, named explicitly, starts workers fastest and needs no `__main__`
+    guard in callers that run `main` in-process; each worker inherits the
+    imported package and runs only pure functions of its pickled arguments.
+    On an error, work not yet handed to a worker is cancelled.
+    """
+    pool = ProcessPoolExecutor(max_workers=_worker_count(),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _solve_embedding(graph, config: EmbedConfig) -> np.ndarray:
+    return solve(graph, config)[0]
 
 
 def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
@@ -199,8 +223,10 @@ def _cohort_manifests(cohort_path) -> list:
 
 
 def cmd_cluster_subjects(args: argparse.Namespace) -> None:
-    manifests = _cohort_manifests(args.cohort)
-    embeddings = _embed_cohort(manifests, _embed_config(args, k=args.embed_k))
+    graphs = [load_multiview(p) for p in _cohort_manifests(args.cohort)]
+    config = _embed_config(args, k=args.embed_k)
+    with _process_pool() as pool:
+        embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
     labels = cluster_subjects(embeddings, args.k,
                               KMeansConfig(restarts=args.restarts, seed=args.seed))
     _write_json(args.out, {"k": args.k, "labels": [int(x) for x in labels]}, args)
@@ -211,30 +237,43 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     _write_json(args.out, json.loads(result.to_json()), args)
 
 
+def _score_k(k: int, embeddings, truth, repeats: int, restarts: int,
+             seed: int | None) -> dict:
+    """ACC / NMI mean and std over `repeats` seeded clusterings of one k's
+    embeddings; the spectral step is shared, only k-means is reseeded."""
+    rows = spectral_rows(embeddings, 2)
+    accs, nmis = [], []
+    for rep in range(repeats):
+        rep_seed = int(np.random.SeedSequence(
+            [0 if seed is None else seed, k, rep]).generate_state(1)[0])
+        labels = kmeans(rows, 2, KMeansConfig(restarts=restarts, seed=rep_seed))
+        result = evaluate(labels, truth)
+        accs.append(result.acc)
+        nmis.append(result.nmi)
+    return {
+        "k": k,
+        "acc_mean": float(np.mean(accs)),
+        "acc_std": float(np.std(accs)),
+        "nmi_mean": float(np.mean(nmis)),
+        "nmi_std": float(np.std(nmis)),
+    }
+
+
 def cmd_sweep_k(args: argparse.Namespace) -> None:
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
-    rows = []
-    for k in range(args.k_min, args.k_max + 1):
-        embeddings = _embed_cohort(manifests, _embed_config(args, k=k))
-        accs, nmis = [], []
-        for rep in range(args.repeats):
-            seed = int(np.random.SeedSequence(
-                [0 if args.seed is None else args.seed, k, rep]).generate_state(1)[0])
-            labels = cluster_subjects(embeddings, 2,
-                                      KMeansConfig(restarts=args.restarts, seed=seed))
-            result = evaluate(labels, truth)
-            accs.append(result.acc)
-            nmis.append(result.nmi)
-        rows.append({
-            "k": k,
-            "acc_mean": float(np.mean(accs)),
-            "acc_std": float(np.std(accs)),
-            "nmi_mean": float(np.mean(nmis)),
-            "nmi_std": float(np.std(nmis)),
-        })
+    graphs = [load_multiview(p) for p in manifests]
+    ks = range(args.k_min, args.k_max + 1)
+    with _process_pool() as pool:
+        # Every solve is queued before any result is awaited, so workers do
+        # not idle between ks; each k is scored as soon as its cohort is in.
+        solving = [pool.map(_solve_embedding, graphs, repeat(_embed_config(args, k=k)))
+                   for k in ks]
+        score = partial(_score_k, truth=truth, repeats=args.repeats,
+                        restarts=args.restarts, seed=args.seed)
+        rows = list(pool.map(score, ks, (list(cohort) for cohort in solving)))
     best = max(rows, key=lambda r: r["acc_mean"])
     _write_json(args.out, {"rows": rows, "best": best}, args)
 

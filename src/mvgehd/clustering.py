@@ -145,14 +145,16 @@ def pairwise_similarity(embeddings) -> np.ndarray:
     return sim
 
 
-def cluster_subjects(embeddings, k: int = 2,
-                     config: KMeansConfig = KMeansConfig()) -> np.ndarray:
-    """Group subjects by normalized spectral clustering of their embeddings.
+def spectral_rows(embeddings, k: int) -> np.ndarray:
+    """Row-normalized spectral basis of the subjects, the points that
+    subject clustering hands to k-means.
 
     Distances d_ij = ||F_i - F_j||_F become affinities
-    exp(-d_ij^2 / (2 sigma^2)) with sigma the median off-diagonal distance,
-    then: symmetric-normalized Laplacian, k smallest eigenvectors,
-    row-normalize, k-means.
+    exp(-d_ij^2 / (2 sigma^2)) with sigma the median off-diagonal distance;
+    the k smallest eigenvectors of the symmetric-normalized Laplacian,
+    row-normalized, give one row per subject. Only k-means is seeded, so a
+    caller that clusters the same embeddings under several seeds computes
+    this once.
     """
     n = len(embeddings)
     if n < k:
@@ -169,5 +171,11 @@ def cluster_subjects(embeddings, k: int = 2,
     lap = np.eye(n) - inv_sqrt_deg[:, None] * affinity * inv_sqrt_deg[None, :]
     basis = smallest_eigenpairs(lap, k).eigenvectors
     norms = np.linalg.norm(basis, axis=1)
-    rows = basis / np.where(norms > 0, norms, 1.0)[:, None]
-    return kmeans(rows, k, config)
+    return basis / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+def cluster_subjects(embeddings, k: int = 2,
+                     config: KMeansConfig = KMeansConfig()) -> np.ndarray:
+    """Group subjects by normalized spectral clustering of their embeddings:
+    k-means on `spectral_rows(embeddings, k)`."""
+    return kmeans(spectral_rows(embeddings, k), k, config)

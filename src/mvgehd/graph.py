@@ -40,6 +40,11 @@ class IsolatedNodeError(ValueError):
         self.index = int(index)
         super().__init__(f"node {self.index} has zero degree (isolated)")
 
+    def __reduce__(self):
+        # Rebuild from the index, not from the message in `args`, so the
+        # error survives the pickle round-trip out of a worker process.
+        return type(self), (self.index,)
+
 
 def apply_transform(data: np.ndarray, transform: str) -> np.ndarray:
     """Resolve negative entries according to a manifest-declared transform.

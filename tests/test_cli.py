@@ -1,12 +1,14 @@
 """End-to-end command-line flows in temporary directories."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from mvgehd.cli import main
-from mvgehd.graph import load_matrix_csv
+import mvgehd.cli
+from mvgehd.cli import _worker_count, main
+from mvgehd.graph import load_matrix_csv, save_matrix_csv
 
 
 def run(*argv):
@@ -15,6 +17,12 @@ def run(*argv):
 
 def read(path):
     return json.loads(path.read_text())
+
+
+def without_config(path):
+    obj = read(path)
+    del obj["config"]
+    return obj
 
 
 @pytest.fixture()
@@ -200,3 +208,67 @@ class TestSubjectPipeline:
         best = int(np.argmax(means))
         assert 0 < best < len(means) - 1
         assert means[best] > means[0] and means[best] > means[-1]
+
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_worker_count_does_not_change_output(self, cohort_dir, tmp_path,
+                                                 monkeypatch, command):
+        flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
+                             "--k-min", 3, "--k-max", 5, "--repeats", 3]}[command]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MVGEHD_THREADS", workers)
+            out = tmp_path / f"{workers}.json"
+            assert run(command, "--cohort", cohort_dir / "cohort.json", *flags,
+                       "--seed", 0, "--out", out) == 0
+            outputs.append(without_config(out))
+        assert outputs[0] == outputs[1]
+
+    def test_sweep_loads_each_subject_once(self, cohort_dir, tmp_path, monkeypatch):
+        loaded = []
+        load = mvgehd.cli.load_multiview
+
+        def counting_load(path):
+            loaded.append(str(path))
+            return load(path)
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", counting_load)
+        assert run("sweep-k", "--cohort", cohort_dir / "cohort.json",
+                   "--truth", cohort_dir / "cohort_truth.json",
+                   "--k-min", 3, "--k-max", 5, "--repeats", 2,
+                   "--seed", 0, "--out", tmp_path / "sweep.json") == 0
+        assert len(loaded) == 16 and len(set(loaded)) == 16
+
+    def test_isolated_node_error_from_worker(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run("generate", "--out", out, "--n", 20, "--clusters", 2, "--views", 2,
+                   "--seed", 3, "--cohort", "2,2") == 0
+        view = out / read(out / "cohort.json")["subjects"][2].replace(
+            "manifest.json", "view_1.csv")
+        a = load_matrix_csv(view)
+        a[7, :] = a[:, 7] = 0.0
+        save_matrix_csv(a, view)
+        code = run("cluster-subjects", "--cohort", out / "cohort.json", "--embed-k", 2,
+                   "--seed", 0, "--out", tmp_path / "subj.json")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IsolatedNodeError"
+        assert err["message"] == "node 7 has zero degree (isolated)"
+
+
+class TestWorkerCount:
+    def test_env_caps_workers(self, monkeypatch):
+        monkeypatch.setenv("MVGEHD_THREADS", "3")
+        assert _worker_count() == 3
+
+    def test_default_is_affinity_size(self, monkeypatch):
+        monkeypatch.delenv("MVGEHD_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _worker_count() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("MVGEHD_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _worker_count() == 3

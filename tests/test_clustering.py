@@ -11,6 +11,7 @@ from mvgehd.clustering import (
     kmeans,
     node_clusters,
     pairwise_similarity,
+    spectral_rows,
 )
 from mvgehd.metrics import accuracy
 
@@ -162,3 +163,14 @@ class TestClusterSubjects:
         perm = rng.permutation(8)
         permuted = cluster_subjects([embs[i] for i in perm], 2, KMeansConfig(seed=3))
         assert accuracy(permuted, base[perm]) == 1.0
+
+    def test_is_kmeans_on_spectral_rows(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(5, 3))
+        embs = [a + 0.3 * rng.normal(size=a.shape) for _ in range(5)]
+        embs += [a + 2.0 + 0.3 * rng.normal(size=a.shape) for _ in range(5)]
+        rows = spectral_rows(embs, 2)
+        for seed in range(8):
+            config = KMeansConfig(restarts=3, seed=seed)
+            np.testing.assert_array_equal(kmeans(rows, 2, config),
+                                          cluster_subjects(embs, 2, config))

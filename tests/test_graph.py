@@ -1,6 +1,7 @@
 """Graph representation, validation, normalization, and file round-trips."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -124,6 +125,13 @@ class TestRandomWalk:
         with pytest.raises(IsolatedNodeError) as err:
             random_walk_matrix(np.zeros((2, 2)))
         assert err.value.index == 0
+
+    def test_isolated_error_survives_pickle(self):
+        # Worker processes hand exceptions back pickled.
+        err = pickle.loads(pickle.dumps(IsolatedNodeError(3)))
+        assert type(err) is IsolatedNodeError
+        assert err.index == 3
+        assert str(err) == "node 3 has zero degree (isolated)"
 
     def test_self_loop_policy(self):
         a = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float)

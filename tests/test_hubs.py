@@ -16,11 +16,18 @@ from mvgehd.hubs import (
 
 
 def brute_betweenness(a):
-    """All-pairs shortest-path enumeration (distances 1/a_ij)."""
+    """All-pairs shortest-path enumeration (distances 1/a_ij).
+
+    Each pair is enumerated from both endpoints, with lengths summed outward
+    from the starting one, and each direction carries half of the pair, so
+    a tie that rounding makes from one endpoint only counts half.
+    """
     n = a.shape[0]
     scores = np.zeros(n)
     for s in range(n):
-        for t in range(s + 1, n):
+        for t in range(n):
+            if t == s:
+                continue
             paths = []
 
             def dfs(node, length, path, visited):
@@ -38,8 +45,16 @@ def brute_betweenness(a):
             shortest = [p for length, p in paths if length == dmin]
             for p in shortest:
                 for v in p[1:-1]:
-                    scores[v] += 1.0 / len(shortest)
+                    scores[v] += 0.5 / len(shortest)
     return scores
+
+
+def one_ended_tie_graph():
+    """Path 0-1-2-3 costing 0.1, 0.2, 0.3 against edge 0-3 costing 0.6."""
+    a = np.zeros((4, 4))
+    for i, j, dist in ((0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 3, 0.6)):
+        a[i, j] = a[j, i] = 1 / dist
+    return a
 
 
 def random_weighted_graph(rng, n, density=0.6):
@@ -154,10 +169,9 @@ class TestBetweenness:
         # from node 0 the path is 0.6000000000000001 and loses; summed from
         # node 3 it is 0.6 and ties, so nodes 1 and 2 each get a quarter of
         # the 0-3 pair on top of the 0-2 and 1-3 pairs they carry alone.
-        a = np.zeros((4, 4))
-        for i, j, dist in ((0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.3), (0, 3, 0.6)):
-            a[i, j] = a[j, i] = 1 / dist
+        a = one_ended_tie_graph()
         np.testing.assert_array_equal(betweenness(a), [0, 1.25, 1.25, 0])
+        np.testing.assert_array_equal(brute_betweenness(a), [0, 1.25, 1.25, 0])
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_edgeless_view_scores_zero(self, n):
@@ -184,6 +198,12 @@ class TestBetweennessNetworkxOracle:
 
     def test_unweighted_heavy_ties(self):
         a = (random_weighted_graph(np.random.default_rng(7), 40, density=0.15) > 0) * 1.0
+        np.testing.assert_allclose(betweenness(a), networkx_betweenness(a), rtol=0, atol=1e-9)
+
+    def test_one_ended_tie(self):
+        a = one_ended_tie_graph()
+        np.testing.assert_allclose(networkx_betweenness(a), [0, 1.25, 1.25, 0],
+                                   rtol=0, atol=1e-9)
         np.testing.assert_allclose(betweenness(a), networkx_betweenness(a), rtol=0, atol=1e-9)
 
     def test_two_components_and_isolated_node(self):
