@@ -34,8 +34,9 @@ labels_eq = mv.node_clusters(embedding_eq, spec.clusters, mv.KMeansConfig(seed=0
 print(f"fixed equal-weight clustering NMI: {mv.nmi(labels_eq, truth.labels):.3f}")
 
 # ---------------------------------------------------------------------------
-# Structured view alone (single-view solver) as the reference point.
+# Structured view alone (a one-view graph) as the reference point.
 # ---------------------------------------------------------------------------
-embedding_sv, _ = mv.solve_single_view(graph.views[0], mv.EmbedConfig(k=2))
+embedding_sv, _, _ = mv.solve(mv.MultiViewGraph(views=(graph.views[0],)),
+                              mv.EmbedConfig(k=2))
 labels_sv = mv.node_clusters(embedding_sv, spec.clusters, mv.KMeansConfig(seed=0))
 print(f"structured view alone NMI: {mv.nmi(labels_sv, truth.labels):.3f}")

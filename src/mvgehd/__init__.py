@@ -6,41 +6,22 @@ boundary-spanning nodes (hubs) toward zero. Includes the downstream
 pipeline: hub scoring and selection, node clustering, subject-level
 clustering from embedding distances, ACC/NMI evaluation, and a seeded
 synthetic generator with planted modules and hubs.
+
+Lower-level pieces (the per-view operator, eigensolver and metric helpers)
+stay importable from their submodules.
 """
 
 from .graph import (
     GraphValidationError,
     IsolatedNodeError,
     MultiViewGraph,
-    degree,
     load_matrix_csv,
     load_multiview,
-    random_walk_matrix,
     save_matrix_csv,
     save_multiview,
-    validate_affinity,
 )
-from .linalg import SymEigenResult, l21_norm, smallest_eigenpairs, trace_form
-from .solver import (
-    EmbedConfig,
-    SolveTrace,
-    auto_view_weights,
-    combined_laplacian,
-    embedding_objective,
-    residual_row_weights,
-    solve,
-    solve_single_view,
-    view_laplacian,
-    walk_residual,
-)
-from .hubs import (
-    HubReport,
-    betweenness,
-    hub_report,
-    hub_scores,
-    remove_hub_edges,
-    select_hubs,
-)
+from .solver import EmbedConfig, SolveTrace, solve
+from .hubs import HubReport, betweenness, hub_report, hub_scores, remove_hub_edges
 from .clustering import (
     KMeansConfig,
     cluster_subjects,
@@ -48,14 +29,12 @@ from .clustering import (
     node_clusters,
     pairwise_similarity,
 )
-from .metrics import EvalResult, accuracy, evaluate, hungarian, nmi
+from .metrics import EvalResult, accuracy, evaluate, nmi
 from .synth import (
     PlantedSpec,
     PlantedTruth,
     generate_cohort,
     generate_multiview,
-    load_truth,
-    planted_layout,
     save_truth,
 )
 
@@ -64,15 +43,10 @@ __version__ = "0.1.0"
 __all__ = [
     "EmbedConfig", "EvalResult", "GraphValidationError", "HubReport",
     "IsolatedNodeError", "KMeansConfig", "MultiViewGraph", "PlantedSpec",
-    "PlantedTruth", "SolveTrace", "SymEigenResult", "accuracy",
-    "auto_view_weights", "betweenness", "cluster_subjects",
-    "combined_laplacian", "degree", "embedding_objective", "evaluate",
-    "generate_cohort", "generate_multiview", "hub_report", "hub_scores",
-    "hungarian", "kmeans", "l21_norm", "load_matrix_csv", "load_multiview",
-    "load_truth", "nmi", "node_clusters", "pairwise_similarity",
-    "planted_layout", "random_walk_matrix", "remove_hub_edges",
-    "residual_row_weights", "save_matrix_csv", "save_multiview",
-    "save_truth", "select_hubs", "smallest_eigenpairs", "solve",
-    "solve_single_view", "trace_form", "validate_affinity",
-    "view_laplacian", "walk_residual",
+    "PlantedTruth", "SolveTrace", "accuracy", "betweenness",
+    "cluster_subjects", "evaluate", "generate_cohort", "generate_multiview",
+    "hub_report", "hub_scores", "kmeans", "load_matrix_csv",
+    "load_multiview", "nmi", "node_clusters", "pairwise_similarity",
+    "remove_hub_edges", "save_matrix_csv", "save_multiview", "save_truth",
+    "solve",
 ]

@@ -139,11 +139,6 @@ class MultiViewGraph:
         return len(self.views)
 
 
-def degree(view: np.ndarray) -> np.ndarray:
-    """Row-sum degree vector d_i = sum_j a_ij of one affinity matrix."""
-    return np.asarray(view, dtype=np.float64).sum(axis=1)
-
-
 def random_walk_matrix(view: np.ndarray, isolated_policy: str = "error") -> np.ndarray:
     """Row-normalize an affinity matrix so each row is a neighbor distribution.
 

@@ -67,14 +67,6 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
     )
 
 
-def l21_norm(matrix: np.ndarray) -> float:
-    """Sum of Euclidean norms of the rows (the row-sparsity-inducing norm)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.norm(m, axis=-1).sum())
-
-
 def trace_form(basis: np.ndarray, operator: np.ndarray) -> float:
     """Tr(F^T L F) for an n-by-k basis F and an n-by-n operator L."""
     f = np.asarray(basis, dtype=np.float64)

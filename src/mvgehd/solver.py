@@ -34,9 +34,7 @@ Steps 2 and 3 take tangents of concave functions (sqrt(x + epsilon) in
 x = ||p_j||^2, and sqrt in h_v), so sum_v alpha_v Tr(F^T L_v F) plus a
 constant lies above the reported objective and touches it at the current
 F. Step 4 minimizes that bound, so the reported objective never rises: the
-scheme is majorize-minimize. With inner_q_iters > 1 the view weights stay
-fixed while the row weights re-linearize, which descends sum_v alpha_v h_v
-and hence still J.
+scheme is majorize-minimize.
 
 The first iteration uses equal view weights 1/m rather than the tangent
 weights, so the descent guarantee covers every step after the first; the
@@ -45,6 +43,10 @@ proves it cannot. The sqrt(epsilon) shift keeps zero-residual rows at zero
 cost; without it an n sqrt(epsilon) floor inside the outer sqrt shrinks the
 weight of well-fit views. Iteration stops when the relative change of the
 reported objective falls below rel_tol, or at max_iters.
+
+Each view's W and M are built once per solve, in a ViewOperator. A pass
+forms the residuals and h_v first and builds the reweighted operators only
+when an eigen-step follows, so the pass that stops builds none.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ from .linalg import smallest_eigenpairs, trace_form
 
 # Traces this far below zero mean an operator lost positive semidefiniteness.
 _PSD_SLACK = 1e-10
+# Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
+# embedding fits exactly has h_v = 0.
+_ALPHA_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,10 @@ class EmbedConfig:
     """Solver parameters.
 
     weights=None selects auto mode, which reports sum_v sqrt(h_v) and
-    sets the view weights to 1 / (2 sqrt(max(h_v, alpha_guard))); a
-    sequence of m positive floats fixes the view weights for the whole run
-    (the non-adaptive variant), which reports sum_v alpha_v h_v. h_v is
+    sets the view weights to 1 / (2 sqrt(h_v)), with h_v floored at 1e-12;
+    a sequence of m positive floats fixes the view weights for the whole
+    run (the non-adaptive variant), which reports sum_v alpha_v h_v. h_v is
     the smoothed row-norm sum of view v (see smoothed_row_norm_sum).
-    inner_q_iters > 1 re-linearizes the row weights and re-solves the
-    eigenproblem that many times per outer iteration before the view
-    weights refresh; 1 is the plain single-loop scheme.
     """
     k: int
     epsilon: float = 1e-4
@@ -79,8 +81,6 @@ class EmbedConfig:
     rel_tol: float = 1e-6
     weights: tuple | None = None
     isolated_policy: str = "error"
-    inner_q_iters: int = 1
-    alpha_guard: float = 1e-12
 
     def __post_init__(self):
         if self.k < 1:
@@ -91,10 +91,6 @@ class EmbedConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.rel_tol < 0:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if self.inner_q_iters < 1:
-            raise ValueError(f"inner_q_iters must be >= 1, got {self.inner_q_iters}")
-        if self.alpha_guard <= 0:
-            raise ValueError(f"alpha_guard must be positive, got {self.alpha_guard}")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             if len(w) == 0 or not all(np.isfinite(x) and x > 0 for x in w):
@@ -111,15 +107,36 @@ class SolveTrace:
     converged: bool
 
 
-def walk_residual(embedding: np.ndarray, view: np.ndarray,
-                  isolated_policy: str = "error") -> np.ndarray:
-    """Residual of each row against its neighbor average: F - W F."""
-    f = np.asarray(embedding, dtype=np.float64)
-    walk = random_walk_matrix(view, isolated_policy)
-    if f.shape[0] != walk.shape[0]:
-        raise ValueError(
-            f"embedding has {f.shape[0]} rows for a {walk.shape[0]}-node view")
-    return f - walk @ f
+@dataclass(frozen=True, eq=False)
+class ViewOperator:
+    """One view's walk matrix W and contrast M = I - W, built once."""
+    walk: np.ndarray
+    contrast: np.ndarray
+
+    @classmethod
+    def from_view(cls, view: np.ndarray, isolated_policy: str = "error") -> ViewOperator:
+        walk = random_walk_matrix(view, isolated_policy)
+        return cls(walk=walk, contrast=np.eye(walk.shape[0]) - walk)
+
+    def residual(self, embedding: np.ndarray) -> np.ndarray:
+        """Residual of each row against its neighbor average: F - W F."""
+        f = np.asarray(embedding, dtype=np.float64)
+        if f.shape[0] != self.walk.shape[0]:
+            raise ValueError(
+                f"embedding has {f.shape[0]} rows for a {self.walk.shape[0]}-node view")
+        return f - self.walk @ f
+
+    def laplacian(self, row_weights: np.ndarray) -> np.ndarray:
+        """Reweighted walk operator L = M^T Q M, Q = diag(row_weights)."""
+        q = np.asarray(row_weights, dtype=np.float64)
+        if np.any(q <= 0) or not np.all(np.isfinite(q)):
+            raise ValueError("row weights must be positive and finite")
+        n = self.walk.shape[0]
+        if q.shape != (n,):
+            raise ValueError(f"expected {n} row weights, got shape {q.shape}")
+        lap = self.contrast.T @ (q[:, None] * self.contrast)
+        # Symmetrize away the last-ulp drift of the triple product.
+        return (lap + lap.T) / 2.0
 
 
 def residual_row_weights(residual: np.ndarray, epsilon: float) -> np.ndarray:
@@ -147,26 +164,6 @@ def smoothed_row_norm_sum(residual: np.ndarray, epsilon: float) -> float:
     p = np.asarray(residual, dtype=np.float64)
     sq = np.einsum("ij,ij->i", p, p)
     return float(np.sum(sq / (np.sqrt(sq + epsilon) + np.sqrt(epsilon))))
-
-
-def view_laplacian(view: np.ndarray, row_weights: np.ndarray,
-                   isolated_policy: str = "error") -> np.ndarray:
-    """Reweighted walk operator L = (I - W)^T Q (I - W) for one view."""
-    q = np.asarray(row_weights, dtype=np.float64)
-    if np.any(q <= 0) or not np.all(np.isfinite(q)):
-        raise ValueError("row weights must be positive and finite")
-    walk = random_walk_matrix(view, isolated_policy)
-    n = walk.shape[0]
-    if q.shape != (n,):
-        raise ValueError(f"expected {n} row weights, got shape {q.shape}")
-    m = np.eye(n) - walk
-    return _laplacian_from_parts(m, q)
-
-
-def _laplacian_from_parts(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    lap = m.T @ (q[:, None] * m)
-    # Symmetrize away the last-ulp drift of the triple product.
-    return (lap + lap.T) / 2.0
 
 
 def combined_laplacian(laplacians, weights) -> np.ndarray:
@@ -241,28 +238,16 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     """
     n, m = graph.n, graph.m
     _check_solve_inputs(n, m, config)
-    walks = [random_walk_matrix(v, config.isolated_policy) for v in graph.views]
-    eye = np.eye(n)
-    contrasts = [eye - w for w in walks]
+    ops = [ViewOperator.from_view(v, config.isolated_policy) for v in graph.views]
 
     if config.weights is not None:
         alphas = np.array(config.weights, dtype=np.float64)
     else:
         alphas = np.full(m, 1.0 / m)
 
-    def linearize(f):
-        # Per-view reweighted operators and smoothed row-norm sums at f.
-        laps, sums = [], []
-        for walk, contrast in zip(walks, contrasts):
-            residual = f - walk @ f
-            q = residual_row_weights(residual, config.epsilon)
-            laps.append(_laplacian_from_parts(contrast, q))
-            sums.append(smoothed_row_norm_sum(residual, config.epsilon))
-        return laps, np.array(sums)
-
     # Deterministic start: unweighted operators (unit row weights), equal
     # view weights.
-    init_laps = [_laplacian_from_parts(c, np.ones(n)) for c in contrasts]
+    init_laps = [op.laplacian(np.ones(n)) for op in ops]
     f = _embedding_from_operator(combined_laplacian(init_laps, np.full(m, 1.0 / m)), config.k)
 
     objectives = []
@@ -270,10 +255,11 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     iterations = 0
     converged = False
     while True:
-        laps, sums = linearize(f)
+        residuals = [op.residual(f) for op in ops]
+        sums = np.array([smoothed_row_norm_sum(p, config.epsilon) for p in residuals])
         if config.weights is None:
             if iterations > 0:
-                alphas = 1.0 / (2.0 * np.sqrt(np.maximum(sums, config.alpha_guard)))
+                alphas = 1.0 / (2.0 * np.sqrt(np.maximum(sums, _ALPHA_GUARD)))
             objectives.append(float(np.sqrt(sums).sum()))
         else:
             objectives.append(float(alphas @ sums))
@@ -285,10 +271,9 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
                 break
         if iterations >= config.max_iters:
             break
-        for inner in range(config.inner_q_iters):
-            if inner > 0:
-                laps, _ = linearize(f)
-            f = _embedding_from_operator(combined_laplacian(laps, alphas), config.k)
+        laps = [op.laplacian(residual_row_weights(p, config.epsilon))
+                for op, p in zip(ops, residuals)]
+        f = _embedding_from_operator(combined_laplacian(laps, alphas), config.k)
         iterations += 1
         if on_update is not None:
             on_update(iterations, f)
@@ -300,12 +285,3 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
         converged=converged,
     )
     return f, alphas, trace
-
-
-def solve_single_view(view: np.ndarray, config: EmbedConfig):
-    """Embed a single affinity matrix; the view weight cancels for m = 1.
-
-    Returns (embedding, trace), identical to solve() on a one-view graph.
-    """
-    f, _, trace = solve(MultiViewGraph(views=(view,)), config)
-    return f, trace

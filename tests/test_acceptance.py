@@ -25,14 +25,12 @@ from mvgehd.linalg import smallest_eigenpairs
 from mvgehd.metrics import accuracy, evaluate, hungarian, nmi
 from mvgehd.solver import (
     EmbedConfig,
+    ViewOperator,
     auto_view_weights,
     combined_laplacian,
     embedding_objective,
     residual_row_weights,
     solve,
-    solve_single_view,
-    view_laplacian,
-    walk_residual,
 )
 from mvgehd.synth import PlantedSpec, generate_cohort, generate_multiview
 
@@ -104,8 +102,8 @@ def test_criterion_each_update_descends(random_solve_batch):
     eps = 1e-4
     for graph, k, _, _, _, _ in runs:
         f, _, _ = solve(graph, EmbedConfig(k=k, max_iters=2))
-        laps = [view_laplacian(v, residual_row_weights(walk_residual(f, v), eps))
-                for v in graph.views]
+        ops = [ViewOperator.from_view(v) for v in graph.views]
+        laps = [op.laplacian(residual_row_weights(op.residual(f), eps)) for op in ops]
         alphas = auto_view_weights(f, laps)
         before = embedding_objective(f, laps)
         f_new = smallest_eigenpairs(
@@ -124,15 +122,19 @@ def test_criterion_orthogonality_every_iteration(random_solve_batch):
 
 
 def test_criterion_single_view_reduction():
-    """Auto-weighted solve on one view equals the single-view solver, 1e-6."""
+    """Auto-weighted solve on one view equals the unit fixed-weight solve, 1e-6.
+
+    For m = 1 the view weight only scales the operator, so minimizing
+    sqrt(h) and minimizing h give the same embedding.
+    """
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(10, 50))
-        a = random_affinity(rng, n)
-        f_multi, _, _ = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=3))
-        f_single, _ = solve_single_view(a, EmbedConfig(k=3))
-        worst = max(worst, float(np.max(np.abs(f_multi - f_single))))
+        graph = MultiViewGraph(views=(random_affinity(rng, n),))
+        f_auto, _, _ = solve(graph, EmbedConfig(k=3))
+        f_fixed, _, _ = solve(graph, EmbedConfig(k=3, weights=(1.0,)))
+        worst = max(worst, float(np.max(np.abs(f_auto - f_fixed))))
     report("single-view reduction (20 instances)", worst <= 1e-6,
            f"worst entrywise diff={worst:.2e} (tolerance 1e-6)")
 

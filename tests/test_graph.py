@@ -11,7 +11,6 @@ from mvgehd.graph import (
     IsolatedNodeError,
     MultiViewGraph,
     apply_transform,
-    degree,
     load_matrix_csv,
     load_multiview,
     random_walk_matrix,
@@ -91,24 +90,6 @@ class TestTransforms:
     def test_unknown_transform(self):
         with pytest.raises(GraphValidationError):
             apply_transform(np.zeros((2, 2)), "negate")
-
-
-class TestDegree:
-    def test_row_sums(self):
-        np.testing.assert_array_equal(degree(np.array([[0, 2], [2, 0]], float)), [2, 2])
-        np.testing.assert_array_equal(
-            degree(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], float)), [2, 1, 1])
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(degree(np.zeros((2, 2))), [0, 0])
-
-    def test_matches_matvec_oracle(self):
-        rng = np.random.default_rng(7)
-        for n in (3, 17, 200):
-            a = rng.uniform(0, 1, size=(n, n))
-            a = (a + a.T) / 2
-            np.fill_diagonal(a, 0.0)
-            np.testing.assert_allclose(degree(a), a @ np.ones(n), atol=1e-12)
 
 
 class TestRandomWalk:

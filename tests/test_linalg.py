@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvgehd.linalg import l21_norm, smallest_eigenpairs, trace_form
+from mvgehd.linalg import smallest_eigenpairs, trace_form
 
 
 def random_symmetric(rng, n):
@@ -78,23 +78,6 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1)
         with pytest.raises(ValueError, match="count"):
             smallest_eigenpairs(np.eye(3), 4)
-
-
-class TestL21Norm:
-    def test_three_four_five(self):
-        assert l21_norm([[3.0, 4.0], [0.0, 0.0]]) == 5.0
-
-    def test_zero_matrix(self):
-        assert l21_norm(np.zeros((3, 2))) == 0.0
-
-    def test_identity(self):
-        assert l21_norm(np.eye(2)) == 2.0
-
-    def test_dominates_frobenius(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            m = rng.normal(size=(int(rng.integers(1, 10)), int(rng.integers(1, 6))))
-            assert l21_norm(m) >= np.linalg.norm(m) - 1e-12
 
 
 class TestTraceForm:

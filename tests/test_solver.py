@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
+import mvgehd.solver
 from mvgehd.graph import IsolatedNodeError, MultiViewGraph
 from mvgehd.linalg import smallest_eigenpairs
 from mvgehd.solver import (
     EmbedConfig,
+    ViewOperator,
     auto_view_weights,
     combined_laplacian,
     embedding_objective,
     residual_row_weights,
     smoothed_row_norm_sum,
     solve,
-    solve_single_view,
-    view_laplacian,
-    walk_residual,
 )
 
 
@@ -34,21 +33,25 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestWalkResidual:
+    """ViewOperator.residual: F - W F."""
+
     def test_two_node_hand_computation(self):
         f = np.array([[1.0], [0.0]])
-        np.testing.assert_array_equal(walk_residual(f, SWAP), [[1.0], [-1.0]])
+        np.testing.assert_array_equal(ViewOperator.from_view(SWAP).residual(f),
+                                      [[1.0], [-1.0]])
 
     def test_constant_rows_give_zero(self):
         rng = np.random.default_rng(0)
         a = random_affinity(rng, 6)
         f = np.tile([0.3, -0.2], (6, 1))
-        np.testing.assert_allclose(walk_residual(f, a), np.zeros((6, 2)), atol=1e-12)
+        np.testing.assert_allclose(ViewOperator.from_view(a).residual(f), np.zeros((6, 2)),
+                                   atol=1e-12)
 
     def test_matches_per_row_average_oracle(self):
         rng = np.random.default_rng(1)
         a = random_affinity(rng, 5)
         f = np.linalg.qr(rng.normal(size=(5, 2)))[0]
-        got = walk_residual(f, a)
+        got = ViewOperator.from_view(a).residual(f)
         d = a.sum(axis=1)
         want = np.array([f[i] - sum(a[i, j] * f[j] for j in range(5)) / d[i]
                          for i in range(5)])
@@ -58,7 +61,11 @@ class TestWalkResidual:
         a = np.zeros((3, 3))
         a[1, 2] = a[2, 1] = 1.0
         with pytest.raises(IsolatedNodeError):
-            walk_residual(np.zeros((3, 1)), a)
+            ViewOperator.from_view(a)
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValueError, match="rows"):
+            ViewOperator.from_view(SWAP).residual(np.zeros((3, 1)))
 
 
 class TestResidualRowWeights:
@@ -111,27 +118,33 @@ class TestSmoothedRowNormSum:
 
 
 class TestViewLaplacian:
+    """ViewOperator.laplacian: M^T Q M with M = I - W."""
+
     def test_two_node_hand_computation(self):
-        got = view_laplacian(SWAP, np.array([0.5, 0.5]))
+        got = ViewOperator.from_view(SWAP).laplacian(np.array([0.5, 0.5]))
         np.testing.assert_allclose(got, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            view_laplacian(SWAP, np.array([0.0, 0.5]))
+            ViewOperator.from_view(SWAP).laplacian(np.array([0.0, 0.5]))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="row weights"):
+            ViewOperator.from_view(SWAP).laplacian(np.ones(3))
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = random_affinity(rng, 6)
             q = rng.uniform(0.1, 2.0, size=6)
-            lap = view_laplacian(a, q)
+            lap = ViewOperator.from_view(a).laplacian(q)
             np.testing.assert_allclose(lap, lap.T, atol=1e-12)
             assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
     def test_kernel_contains_constants(self):
         rng = np.random.default_rng(4)
         a = random_affinity(rng, 8)
-        lap = view_laplacian(a, rng.uniform(0.5, 1.5, size=8))
+        lap = ViewOperator.from_view(a).laplacian(rng.uniform(0.5, 1.5, size=8))
         np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
 
 
@@ -221,8 +234,8 @@ class TestSolve:
             g = random_multiview(rng, n, m)
             f, _, _ = solve(g, EmbedConfig(k=k, max_iters=int(rng.integers(0, 4))))
             eps = 1e-4
-            laps = [view_laplacian(v, residual_row_weights(walk_residual(f, v), eps))
-                    for v in g.views]
+            ops = [ViewOperator.from_view(v) for v in g.views]
+            laps = [op.laplacian(residual_row_weights(op.residual(f), eps)) for op in ops]
             alphas = auto_view_weights(f, laps)
             before = embedding_objective(f, laps)
             ltilde = combined_laplacian(laps, alphas)
@@ -238,7 +251,7 @@ class TestSolve:
             eps = 1e-4
             want = 0.0
             for v in g.views:
-                rows = walk_residual(f, v)
+                rows = ViewOperator.from_view(v).residual(f)
                 want += np.sqrt(sum(np.sqrt(np.dot(r, r) + eps) - np.sqrt(eps)
                                     for r in rows))
             assert trace.objectives[-1] == pytest.approx(want, rel=1e-10)
@@ -250,9 +263,9 @@ class TestSolve:
         _, _, trace = solve(g, EmbedConfig(k=3, max_iters=6),
                             on_update=lambda t, f: seen.__setitem__(t, f.copy()))
         assert trace.iterations >= 1
+        ops = [ViewOperator.from_view(v) for v in g.views]
         for t in range(1, trace.iterations + 1):
-            sums = [smoothed_row_norm_sum(walk_residual(seen[t], v), 1e-4)
-                    for v in g.views]
+            sums = [smoothed_row_norm_sum(op.residual(seen[t]), 1e-4) for op in ops]
             np.testing.assert_allclose(trace.alpha_history[t],
                                        1.0 / (2.0 * np.sqrt(sums)), rtol=1e-12)
 
@@ -317,14 +330,20 @@ class TestSolve:
         assert np.all(trace.alpha_history == 0.5)
         np.testing.assert_array_equal(alphas, [0.5, 0.5])
 
-    def test_inner_reweighting_iterations(self):
-        rng = np.random.default_rng(15)
-        g = random_multiview(rng, 15, 2)
-        f, _, trace = solve(g, EmbedConfig(k=2, inner_q_iters=3, max_iters=10))
-        np.testing.assert_allclose(f.T @ f, np.eye(2), atol=1e-8)
-        assert len(trace.objectives) == trace.iterations + 1
-        # View weights held fixed across the inner loop keep the step MM.
-        assert np.all(np.diff(trace.objectives) <= 1e-8)
+    def test_operators_built_only_for_eigen_steps(self, monkeypatch):
+        # Row weights feed only the reweighted operators, so counting them
+        # counts operator builds: one per view per eigen-step, none for the
+        # pass that stops.
+        calls = []
+        real = mvgehd.solver.residual_row_weights
+        monkeypatch.setattr(mvgehd.solver, "residual_row_weights",
+                            lambda p, eps: calls.append(1) or real(p, eps))
+        for seed, max_iters in ((17, 100), (18, 3), (19, 0)):
+            rng = np.random.default_rng(seed)
+            g = random_multiview(rng, 20, 3)
+            calls.clear()
+            _, _, trace = solve(g, EmbedConfig(k=2, max_iters=max_iters))
+            assert len(calls) == g.m * trace.iterations
 
     def test_update_hook_called_per_iteration(self):
         rng = np.random.default_rng(16)
@@ -336,19 +355,13 @@ class TestSolve:
 
 
 class TestSolveSingleView:
-    def test_equals_one_view_solve(self):
-        rng = np.random.default_rng(13)
-        a = random_affinity(rng, 18)
-        f1, trace1 = solve_single_view(a, EmbedConfig(k=3))
-        f2, _, trace2 = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=3))
-        np.testing.assert_array_equal(f1, f2)
-        np.testing.assert_array_equal(trace1.objectives, trace2.objectives)
+    """solve on a one-view graph, where the view weight cancels."""
 
     def test_auto_matches_unit_fixed_weight(self):
         # A single view weight scales the operator but not its eigenvectors.
         rng = np.random.default_rng(14)
         a = random_affinity(rng, 16)
-        f_auto, _ = solve_single_view(a, EmbedConfig(k=2))
+        f_auto, _, _ = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=2))
         f_fixed, _, _ = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=2, weights=(1.0,)))
         np.testing.assert_allclose(f_auto, f_fixed, atol=1e-9)
 
@@ -359,7 +372,7 @@ class TestSolveSingleView:
         a = np.zeros((12, 12))
         for i, b in enumerate(blocks):
             a[4 * i:4 * i + 4, 4 * i:4 * i + 4] = b
-        f, _ = solve_single_view(a, EmbedConfig(k=2))
+        f, _, _ = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=2))
         for i in range(3):
             comp = f[4 * i:4 * i + 4]
             assert np.max(np.var(comp, axis=0)) < 1e-6
@@ -368,5 +381,5 @@ class TestSolveSingleView:
         a = np.zeros((4, 4))
         for i in range(3):
             a[i, i + 1] = a[i + 1, i] = 1.0
-        _, trace = solve_single_view(a, EmbedConfig(k=1))
+        _, _, trace = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=1))
         assert np.all(np.diff(trace.objectives) <= 1e-8)
