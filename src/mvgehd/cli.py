@@ -113,7 +113,10 @@ def _process_pool():
     Fork, named explicitly, starts workers fastest and needs no `__main__`
     guard in callers that run `main` in-process; each worker inherits the
     imported package and runs only pure functions of its pickled arguments.
-    On an error, work not yet handed to a worker is cancelled.
+    On an error, work not yet handed to a worker is cancelled. Workers keep
+    the BLAS library's default thread count, so subjects with n >= 200,
+    whose solves run BLAS-threaded matrix products, would oversubscribe the
+    cores with several BLAS threads per worker.
     """
     pool = ProcessPoolExecutor(max_workers=_worker_count(),
                                mp_context=multiprocessing.get_context("fork"))

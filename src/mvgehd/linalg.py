@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra primitives used by the embedding solver.
 
-Everything here targets desk-scale dense matrices (n up to a few hundred),
-so the eigen-solves go through LAPACK's dense symmetric drivers rather than
-iterative sparse methods.
+The eigen-solves here go through LAPACK's dense symmetric drivers. They
+serve every eigen-step of graphs below n = 200 and the first eigen-step of
+larger ones; the solver runs its later steps on larger graphs matrix-free,
+by LOBPCG, and checks those against this dense path (see mvgehd.solver).
 """
 
 from __future__ import annotations

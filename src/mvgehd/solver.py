@@ -44,25 +44,54 @@ cost; without it an n sqrt(epsilon) floor inside the outer sqrt shrinks the
 weight of well-fit views. Iteration stops when the relative change of the
 reported objective falls below rel_tol, or at max_iters.
 
-Each view's W and M are built once per solve, in a ViewOperator. A pass
-forms the residuals and h_v first and builds the reweighted operators only
-when an eigen-step follows, so the pass that stops builds none.
+Each view's W is built once per solve, in a ViewOperator. A pass forms
+the residuals and h_v first and takes an eigen-step only when one follows,
+so the pass that stops does none. The first eigen-step (unit row weights)
+is a dense LAPACK solve. Later steps pick their backend from the graph:
+
+  - matrix-free, when n >= 200, n >= 5 (k + 1) and the union graph (an
+    edge wherever any view has one) is connected. LOBPCG (Knyazev 2001),
+    warm-started from the current F, runs on the map
+    X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as Z = (alpha_v q_v)
+    o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per block product; no
+    n-by-n operator is formed. The constant vector is deflated, which on a
+    connected union graph is exactly the skipped bottom eigenvector. Every
+    column must then reach a residual ||A x - lambda x|| <= 1e-10, measured
+    here rather than taken from LOBPCG; a step that misses it is redone
+    dense. Eigenvalues are put in ascending order and the sign convention
+    of mvgehd.linalg applies, as on the dense path.
+  - dense otherwise: the m reweighted operators are built and summed, and
+    a subset eigh returns the k + 1 smallest eigenpairs. This path is the
+    oracle the matrix-free one is tested against, and the faster one on
+    small graphs.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import lobpcg
 
 from .graph import MultiViewGraph, random_walk_matrix
-from .linalg import smallest_eigenpairs, trace_form
+from .linalg import _fix_column_signs, smallest_eigenpairs, trace_form
 
 # Traces this far below zero mean an operator lost positive semidefiniteness.
 _PSD_SLACK = 1e-10
 # Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
 # embedding fits exactly has h_v = 0.
 _ALPHA_GUARD = 1e-12
+# Smallest graph whose eigen-steps after the first may run matrix-free (see
+# the module docstring); below it the dense subset eigh is faster.
+_MATRIX_FREE_MIN_N = 200
+# Residual norm every matrix-free eigenvector must reach, else the step is
+# redone dense. On planted graphs of the embed benchmark's spec at
+# n = 200..400, steps took up to 66 LOBPCG iterations (median 18); a cap of
+# 60 sent 7 of 421 steps dense, LOBPCG's default of 20 sent 136.
+_MATRIX_FREE_TOL = 1e-10
+_MATRIX_FREE_MAX_ITERS = 60
 
 
 @dataclass(frozen=True)
@@ -109,14 +138,12 @@ class SolveTrace:
 
 @dataclass(frozen=True, eq=False)
 class ViewOperator:
-    """One view's walk matrix W and contrast M = I - W, built once."""
+    """One view's walk matrix W, built once; the contrast M = I - W is not stored."""
     walk: np.ndarray
-    contrast: np.ndarray
 
     @classmethod
     def from_view(cls, view: np.ndarray, isolated_policy: str = "error") -> ViewOperator:
-        walk = random_walk_matrix(view, isolated_policy)
-        return cls(walk=walk, contrast=np.eye(walk.shape[0]) - walk)
+        return cls(walk=random_walk_matrix(view, isolated_policy))
 
     def residual(self, embedding: np.ndarray) -> np.ndarray:
         """Residual of each row against its neighbor average: F - W F."""
@@ -134,9 +161,15 @@ class ViewOperator:
         n = self.walk.shape[0]
         if q.shape != (n,):
             raise ValueError(f"expected {n} row weights, got shape {q.shape}")
-        lap = self.contrast.T @ (q[:, None] * self.contrast)
+        contrast = np.eye(n) - self.walk
+        lap = contrast.T @ (q[:, None] * contrast)
         # Symmetrize away the last-ulp drift of the triple product.
         return (lap + lap.T) / 2.0
+
+    def apply(self, block: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
+        """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix."""
+        z = row_scale[:, None] * self.residual(block)
+        return z - self.walk.T @ z
 
 
 def residual_row_weights(residual: np.ndarray, epsilon: float) -> np.ndarray:
@@ -227,6 +260,53 @@ def _embedding_from_operator(ltilde: np.ndarray, k: int) -> np.ndarray:
     return smallest_eigenpairs(ltilde, k + 1).eigenvectors[:, 1:]
 
 
+def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
+    """Whether eigen-steps after the first may run matrix-free."""
+    n = graph.n
+    # scipy's LOBPCG hands a block wider than (n - 1) / 5 to its own dense
+    # solver, which rejects the deflated constant.
+    if n < _MATRIX_FREE_MIN_N or n < 5 * (k + 1):
+        return False
+    # Off a connected union graph the bottom eigenspace is not just the
+    # constant, so deflating the constant would answer another problem.
+    components, _ = connected_components(sum(graph.views) > 0, directed=False)
+    return components == 1
+
+
+def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
+    """The k bottom eigenvectors of sum_v alpha_v M_v^T Q_v M_v orthogonal to
+    the constant, by LOBPCG from `start`; None if LOBPCG breaks down or a
+    residual misses _MATRIX_FREE_TOL."""
+    n = start.shape[0]
+    scales = [alpha * q for alpha, q in zip(alphas, row_weights)]
+
+    def apply(block):
+        out = ops[0].apply(block, scales[0])
+        for op, scale in zip(ops[1:], scales[1:]):
+            out += op.apply(block, scale)
+        return out
+
+    try:
+        with warnings.catch_warnings():
+            # Convergence is judged by the residual check below.
+            warnings.simplefilter("ignore", UserWarning)
+            # LOBPCG overwrites its start block, which the caller may hold.
+            values, vectors = lobpcg(apply, start.copy(),
+                                     Y=np.full((n, 1), 1.0 / np.sqrt(n)),
+                                     tol=_MATRIX_FREE_TOL, maxiter=_MATRIX_FREE_MAX_ITERS,
+                                     largest=False)
+    except ValueError:
+        # LOBPCG's breakdowns: a rank-deficient block or a failed final
+        # Rayleigh-Ritz solve.
+        return None
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    residuals = np.linalg.norm(apply(vectors) - vectors * values, axis=0)
+    if not np.all(residuals <= _MATRIX_FREE_TOL):
+        return None
+    return _fix_column_signs(vectors)
+
+
 def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     """Run the alternating embedding scheme on a multi-view graph.
 
@@ -249,6 +329,7 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     # view weights.
     init_laps = [op.laplacian(np.ones(n)) for op in ops]
     f = _embedding_from_operator(combined_laplacian(init_laps, np.full(m, 1.0 / m)), config.k)
+    matrix_free = _matrix_free_applies(graph, config.k)
 
     objectives = []
     alpha_history = []
@@ -271,9 +352,13 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
                 break
         if iterations >= config.max_iters:
             break
-        laps = [op.laplacian(residual_row_weights(p, config.epsilon))
-                for op, p in zip(ops, residuals)]
-        f = _embedding_from_operator(combined_laplacian(laps, alphas), config.k)
+        row_weights = [residual_row_weights(p, config.epsilon) for p in residuals]
+        f_next = (_matrix_free_embedding(ops, row_weights, alphas, f)
+                  if matrix_free else None)
+        if f_next is None:
+            laps = [op.laplacian(q) for op, q in zip(ops, row_weights)]
+            f_next = _embedding_from_operator(combined_laplacian(laps, alphas), config.k)
+        f = f_next
         iterations += 1
         if on_update is not None:
             on_update(iterations, f)

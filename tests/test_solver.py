@@ -1,11 +1,13 @@
 """Embedding solver: residuals, reweighting, operators, and the full loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import mvgehd.solver
 from mvgehd.graph import IsolatedNodeError, MultiViewGraph
-from mvgehd.linalg import smallest_eigenpairs
+from mvgehd.linalg import _fix_column_signs, smallest_eigenpairs
 from mvgehd.solver import (
     EmbedConfig,
     ViewOperator,
@@ -16,6 +18,7 @@ from mvgehd.solver import (
     smoothed_row_norm_sum,
     solve,
 )
+from mvgehd.synth import PlantedSpec, generate_multiview
 
 
 def random_affinity(rng, n):
@@ -383,3 +386,137 @@ class TestSolveSingleView:
             a[i, i + 1] = a[i + 1, i] = 1.0
         _, _, trace = solve(MultiViewGraph(views=(a,)), EmbedConfig(k=1))
         assert np.all(np.diff(trace.objectives) <= 1e-8)
+
+
+def planted_graph(n, seed, **spec):
+    params = dict(clusters=4, hubs=6, views=2, view_quality=(1.0, 0.5),
+                  p_intra=0.5, noise_sigma=0.02)
+    params.update(spec)
+    return generate_multiview(PlantedSpec(n=n, seed=seed, **params))[0]
+
+
+# The embed benchmark's spec: more MM iterations, and LOBPCG steps that take
+# longer to converge.
+BENCH_SPEC = dict(clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
+                  p_intra=0.5, noise_sigma=0.02)
+
+
+def dense_solve(monkeypatch, graph, config):
+    """solve with every eigen-step on the dense path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mvgehd.solver, "_MATRIX_FREE_MIN_N", 10 ** 9)
+        return solve(graph, config)
+
+
+def count_dense_eigensolves(monkeypatch):
+    calls = []
+    real = mvgehd.solver.smallest_eigenpairs
+    monkeypatch.setattr(mvgehd.solver, "smallest_eigenpairs",
+                        lambda matrix, count: calls.append(count) or real(matrix, count))
+    return calls
+
+
+def assert_same_solve(got, want):
+    f, alphas, trace = got
+    f_want, alphas_want, trace_want = want
+    np.testing.assert_array_equal(f, f_want)
+    np.testing.assert_array_equal(alphas, alphas_want)
+    np.testing.assert_array_equal(trace.objectives, trace_want.objectives)
+    np.testing.assert_array_equal(trace.alpha_history, trace_want.alpha_history)
+    assert (trace.iterations, trace.converged) == (trace_want.iterations, trace_want.converged)
+
+
+class TestMatrixFreeEigenStep:
+    """Eigen-steps after the first run LOBPCG on connected graphs with n >= 200;
+    the dense path is their oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [200, 300, 400])
+    def test_matches_dense_oracle(self, monkeypatch, n, seed):
+        g = planted_graph(n, seed)
+        config = EmbedConfig(k=3)
+        f_dense, alphas_dense, trace_dense = dense_solve(monkeypatch, g, config)
+        dense_calls = count_dense_eigensolves(monkeypatch)
+        f, alphas, trace = solve(g, config)
+        assert dense_calls == [config.k + 1]  # the unit-weight start only
+        assert trace.iterations == trace_dense.iterations >= 2
+        assert np.max(np.abs(trace.alpha_history - trace_dense.alpha_history)) <= 1e-12
+        assert np.max(np.abs(alphas - alphas_dense)) <= 1e-12
+        cosines = np.linalg.svd(f_dense.T @ f, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-12
+        assert np.max(np.abs(f - f_dense)) <= 1e-8
+        np.testing.assert_array_equal(_fix_column_signs(f), f)
+        pivots = np.argmax(np.abs(f_dense), axis=0)
+        assert np.all(f[pivots, np.arange(config.k)] > 0)
+
+    def test_repeat_runs_are_byte_identical(self):
+        g = planted_graph(300, 0)
+        (f1, a1, t1), (f2, a2, t2) = (solve(g, EmbedConfig(k=3)) for _ in range(2))
+        assert f1.tobytes() == f2.tobytes()
+        assert a1.tobytes() == a2.tobytes()
+        assert t1.objectives.tobytes() == t2.objectives.tobytes()
+
+    def test_trace_monotone_at_n400(self, monkeypatch):
+        g = planted_graph(400, 0, **BENCH_SPEC)
+        dense_calls = count_dense_eigensolves(monkeypatch)
+        seen = []
+        _, _, trace = solve(g, EmbedConfig(k=5),
+                            on_update=lambda t, f: seen.append((f, f.copy())))
+        assert trace.iterations >= 10
+        assert len(dense_calls) < trace.iterations
+        assert np.all(np.diff(trace.objectives) <= 1e-8)
+        # LOBPCG overwrites its start block; the embeddings handed out stay intact.
+        for f, snapshot in seen:
+            np.testing.assert_array_equal(f, snapshot)
+
+    def test_default_solve_emits_no_warning(self):
+        # Some of this solve's LOBPCG steps stop short of the tolerance,
+        # and LOBPCG warns about each.
+        g = planted_graph(400, 1, **BENCH_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(g, EmbedConfig(k=5))
+
+    @pytest.mark.parametrize("broken", ["perturbed", "nan", "raises"])
+    def test_inaccurate_step_is_redone_dense(self, monkeypatch, broken):
+        g = planted_graph(200, 0)
+        config = EmbedConfig(k=3)
+        want = dense_solve(monkeypatch, g, config)
+        real = mvgehd.solver.lobpcg
+        rng = np.random.default_rng(0)
+        calls = []
+
+        def inaccurate(*args, **kwargs):
+            values, vectors = real(*args, **kwargs)
+            calls.append(1)
+            if broken == "raises":
+                raise ValueError("eigh has failed in lobpcg postprocessing")
+            if broken == "nan":
+                return values, np.full_like(vectors, np.nan)
+            return values, vectors + 1e-6 * rng.standard_normal(vectors.shape)
+
+        monkeypatch.setattr(mvgehd.solver, "lobpcg", inaccurate)
+        got = solve(g, config)
+        assert len(calls) == got[2].iterations >= 2
+        assert_same_solve(got, want)
+
+    @pytest.mark.parametrize("case", ["disconnected", "block_too_large"])
+    def test_stays_dense_outside_the_rule(self, monkeypatch, case):
+        if case == "disconnected":
+            # Node 7 is isolated in every view, so the bottom eigenspace of
+            # the operator is two-dimensional, not just the constant.
+            views = []
+            for v in planted_graph(300, 0).views:
+                a = np.array(v)
+                a[7, :] = a[:, 7] = 0.0
+                views.append(a)
+            g = MultiViewGraph(views=tuple(views))
+            config = EmbedConfig(k=3, isolated_policy="self_loop")
+        else:
+            # scipy's LOBPCG cannot take a block wider than (n - 1) / 5 with
+            # the constant deflated.
+            g = planted_graph(200, 0)
+            config = EmbedConfig(k=40, max_iters=3)
+        want = dense_solve(monkeypatch, g, config)
+        monkeypatch.setattr(mvgehd.solver, "lobpcg", None)
+        assert_same_solve(solve(g, config), want)
