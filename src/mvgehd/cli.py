@@ -263,6 +263,11 @@ def _score_k(k: int, embeddings, truth, repeats: int, restarts: int,
 
 
 def cmd_sweep_k(args: argparse.Namespace) -> None:
+    if not 1 <= args.k_min <= args.k_max:
+        raise ValueError(
+            f"need 1 <= --k-min <= --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):

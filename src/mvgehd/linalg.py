@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra primitives used by the embedding solver.
 
 The eigen-solves here go through LAPACK's dense symmetric drivers. They
-serve every eigen-step of graphs below n = 200 and the first eigen-step of
-larger ones; the solver runs its later steps on larger graphs matrix-free,
-by LOBPCG, and checks those against this dense path (see mvgehd.solver).
+serve every eigen-step of the graphs the solver's matrix-free rule leaves
+out (below n = 200, or with a disconnected union graph), and redo any
+matrix-free step that misses its residual check; the solver runs the steps
+of other graphs matrix-free, by LOBPCG, and checks those against this dense
+path (see mvgehd.solver).
 """
 
 from __future__ import annotations

@@ -46,20 +46,24 @@ reported objective falls below rel_tol, or at max_iters.
 
 Each view's W is built once per solve, in a ViewOperator. A pass forms
 the residuals and h_v first and takes an eigen-step only when one follows,
-so the pass that stops does none. The first eigen-step (unit row weights)
-is a dense LAPACK solve. Later steps pick their backend from the graph:
+so the pass that stops does none. Every eigen-step, the first (unit row
+weights) included, picks its backend from the graph:
 
   - matrix-free, when n >= 200, n >= 5 (k + 1) and the union graph (an
-    edge wherever any view has one) is connected. LOBPCG (Knyazev 2001),
-    warm-started from the current F, runs on the map
-    X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as Z = (alpha_v q_v)
-    o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per block product; no
-    n-by-n operator is formed. The constant vector is deflated, which on a
-    connected union graph is exactly the skipped bottom eigenvector. Every
-    column must then reach a residual ||A x - lambda x|| <= 1e-10, measured
-    here rather than taken from LOBPCG; a step that misses it is redone
-    dense. Eigenvalues are put in ascending order and the sign convention
-    of mvgehd.linalg applies, as on the dense path.
+    edge wherever any view has one) is connected. LOBPCG (Knyazev 2001)
+    runs on the map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
+    Z = (alpha_v q_v) o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per
+    block product; no n-by-n operator is formed. It is preconditioned by
+    Jacobi, X -> X / diag(A), with diag(A) summed over the views from
+    their walk matrices in O(m n^2). The first step starts from a fixed
+    seeded Gaussian block, so repeat runs are byte-identical; later steps
+    are warm-started from the current F. The constant vector is deflated,
+    which on a connected union graph is exactly the skipped bottom
+    eigenvector. Every column must then reach a residual
+    ||A x - lambda x|| <= 1e-10, measured here rather than taken from
+    LOBPCG; a step that misses it is redone dense. Eigenvalues are put in
+    ascending order and the sign convention of mvgehd.linalg applies, as
+    on the dense path.
   - dense otherwise: the m reweighted operators are built and summed, and
     a subset eigh returns the k + 1 smallest eigenpairs. This path is the
     oracle the matrix-free one is tested against, and the faster one on
@@ -83,13 +87,15 @@ _PSD_SLACK = 1e-10
 # Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
 # embedding fits exactly has h_v = 0.
 _ALPHA_GUARD = 1e-12
-# Smallest graph whose eigen-steps after the first may run matrix-free (see
-# the module docstring); below it the dense subset eigh is faster.
+# Smallest graph whose eigen-steps may run matrix-free (see the module
+# docstring); below it the dense subset eigh is faster.
 _MATRIX_FREE_MIN_N = 200
 # Residual norm every matrix-free eigenvector must reach, else the step is
 # redone dense. On planted graphs of the embed benchmark's spec at
-# n = 200..400, steps took up to 66 LOBPCG iterations (median 18); a cap of
-# 60 sent 7 of 421 steps dense, LOBPCG's default of 20 sent 136.
+# n = 200..400 (seeds 0-3, 599 steps), a preconditioned step took at most 23
+# operator applies (median 10, p90 15), which is LOBPCG's iteration count
+# plus 3; none was redone dense under this cap of 60, 5 were under a cap of
+# 18 and 15 under a cap of 15.
 _MATRIX_FREE_TOL = 1e-10
 _MATRIX_FREE_MAX_ITERS = 60
 
@@ -170,6 +176,13 @@ class ViewOperator:
         """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix."""
         z = row_scale[:, None] * self.residual(block)
         return z - self.walk.T @ z
+
+    def diagonal(self, row_scale: np.ndarray) -> np.ndarray:
+        """diag(M^T S M)_i = s_i (1 - W_ii)^2 + sum_{j != i} s_j W_ji^2, in O(n^2)
+        without an n-by-n temporary."""
+        w = self.walk
+        return (np.einsum("ji,ji,j->i", w, w, row_scale)
+                + row_scale * (1.0 - 2.0 * np.diagonal(w)))
 
 
 def residual_row_weights(residual: np.ndarray, epsilon: float) -> np.ndarray:
@@ -261,7 +274,7 @@ def _embedding_from_operator(ltilde: np.ndarray, k: int) -> np.ndarray:
 
 
 def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
-    """Whether eigen-steps after the first may run matrix-free."""
+    """Whether the eigen-steps of a solve, the first included, may run matrix-free."""
     n = graph.n
     # scipy's LOBPCG hands a block wider than (n - 1) / 5 to its own dense
     # solver, which rejects the deflated constant.
@@ -275,8 +288,8 @@ def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
 
 def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
     """The k bottom eigenvectors of sum_v alpha_v M_v^T Q_v M_v orthogonal to
-    the constant, by LOBPCG from `start`; None if LOBPCG breaks down or a
-    residual misses _MATRIX_FREE_TOL."""
+    the constant, by Jacobi-preconditioned LOBPCG from `start`; None if
+    LOBPCG breaks down or a residual misses _MATRIX_FREE_TOL."""
     n = start.shape[0]
     scales = [alpha * q for alpha, q in zip(alphas, row_weights)]
 
@@ -286,12 +299,15 @@ def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
             out += op.apply(block, scale)
         return out
 
+    # Positive on a connected union graph: every node has an edge in some view.
+    diagonal = sum(op.diagonal(scale) for op, scale in zip(ops, scales))
     try:
         with warnings.catch_warnings():
             # Convergence is judged by the residual check below.
             warnings.simplefilter("ignore", UserWarning)
             # LOBPCG overwrites its start block, which the caller may hold.
             values, vectors = lobpcg(apply, start.copy(),
+                                     M=lambda block: block / diagonal[:, None],
                                      Y=np.full((n, 1), 1.0 / np.sqrt(n)),
                                      tol=_MATRIX_FREE_TOL, maxiter=_MATRIX_FREE_MAX_ITERS,
                                      largest=False)
@@ -325,11 +341,22 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     else:
         alphas = np.full(m, 1.0 / m)
 
-    # Deterministic start: unweighted operators (unit row weights), equal
-    # view weights.
-    init_laps = [op.laplacian(np.ones(n)) for op in ops]
-    f = _embedding_from_operator(combined_laplacian(init_laps, np.full(m, 1.0 / m)), config.k)
     matrix_free = _matrix_free_applies(graph, config.k)
+
+    # Matrix-free where the rule allows it; dense otherwise, or when the
+    # matrix-free step fails its residual check.
+    def eigen_step(row_weights, weights, start):
+        f_next = (_matrix_free_embedding(ops, row_weights, weights, start)
+                  if matrix_free else None)
+        if f_next is None:
+            laps = [op.laplacian(q) for op, q in zip(ops, row_weights)]
+            f_next = _embedding_from_operator(combined_laplacian(laps, weights), config.k)
+        return f_next
+
+    # Deterministic start: unweighted operators (unit row weights), equal
+    # view weights; a matrix-free first step starts from a fixed seeded block.
+    start = np.random.default_rng(0).standard_normal((n, config.k)) if matrix_free else None
+    f = eigen_step([np.ones(n)] * m, np.full(m, 1.0 / m), start)
 
     objectives = []
     alpha_history = []
@@ -353,12 +380,7 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
         if iterations >= config.max_iters:
             break
         row_weights = [residual_row_weights(p, config.epsilon) for p in residuals]
-        f_next = (_matrix_free_embedding(ops, row_weights, alphas, f)
-                  if matrix_free else None)
-        if f_next is None:
-            laps = [op.laplacian(q) for op, q in zip(ops, row_weights)]
-            f_next = _embedding_from_operator(combined_laplacian(laps, alphas), config.k)
-        f = f_next
+        f = eigen_step(row_weights, alphas, f)
         iterations += 1
         if on_update is not None:
             on_update(iterations, f)

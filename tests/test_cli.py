@@ -239,6 +239,26 @@ class TestSubjectPipeline:
                    "--seed", 0, "--out", tmp_path / "sweep.json") == 0
         assert len(loaded) == 16 and len(set(loaded)) == 16
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-min", 9, "--k-max", 5], "--k-min"),
+        (["--k-min", 0, "--k-max", 5], "--k-min"),
+        (["--repeats", 0], "--repeats"),
+    ])
+    def test_sweep_arguments_checked_before_loading(self, cohort_dir, tmp_path, capsys,
+                                                    monkeypatch, flags, message):
+        def fail(path):
+            raise AssertionError("a subject was loaded before the argument check")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        out = tmp_path / "sweep.json"
+        code = run("sweep-k", "--cohort", cohort_dir / "cohort.json",
+                   "--truth", cohort_dir / "cohort_truth.json", *flags,
+                   "--seed", 0, "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
     def test_isolated_node_error_from_worker(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert run("generate", "--out", out, "--n", 20, "--clusters", 2, "--views", 2,

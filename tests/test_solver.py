@@ -151,6 +151,34 @@ class TestViewLaplacian:
         np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
 
 
+class TestViewDiagonal:
+    """ViewOperator.diagonal: diag(M^T S M), the Jacobi preconditioner's input."""
+
+    def test_matches_dense_operator(self):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            a = random_affinity(rng, 9)
+            q = rng.uniform(0.1, 2.0, size=9)
+            op = ViewOperator.from_view(a)
+            np.testing.assert_allclose(op.diagonal(q), np.diag(op.laplacian(q)),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("loop", ["partial", "isolated"])
+    def test_self_loop_row(self, loop):
+        rng = np.random.default_rng(31)
+        a = random_affinity(rng, 8)
+        if loop == "partial":
+            a[2, 2] = 0.7
+            op = ViewOperator.from_view(a)
+        else:
+            a[2, :] = a[:, 2] = 0.0
+            op = ViewOperator.from_view(a, isolated_policy="self_loop")
+        assert op.walk[2, 2] != 0
+        q = rng.uniform(0.1, 2.0, size=8)
+        np.testing.assert_allclose(op.diagonal(q), np.diag(op.laplacian(q)),
+                                   rtol=0, atol=1e-12)
+
+
 class TestCombinedLaplacian:
     def test_single_view_identity(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -401,6 +429,11 @@ BENCH_SPEC = dict(clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
                   p_intra=0.5, noise_sigma=0.02)
 
 
+# The hubs benchmark's spec: the generator's defaults at n = 200.
+HUBS_SPEC = dict(clusters=4, hubs=6, views=2, view_quality=1.0, p_intra=0.9,
+                 noise_sigma=0.01)
+
+
 def dense_solve(monkeypatch, graph, config):
     """solve with every eigen-step on the dense path."""
     with monkeypatch.context() as patch:
@@ -427,8 +460,32 @@ def assert_same_solve(got, want):
 
 
 class TestMatrixFreeEigenStep:
-    """Eigen-steps after the first run LOBPCG on connected graphs with n >= 200;
-    the dense path is their oracle."""
+    """Every eigen-step, the unit-weight first one included, runs
+    Jacobi-preconditioned LOBPCG on connected graphs with n >= 200; the dense
+    path is their oracle."""
+
+    @pytest.mark.parametrize("n, k, spec", [
+        (200, 5, BENCH_SPEC), (300, 5, BENCH_SPEC), (400, 5, BENCH_SPEC),
+        (200, 3, HUBS_SPEC),
+    ])
+    def test_first_step_matches_dense_start(self, monkeypatch, n, k, spec):
+        g = planted_graph(n, 0, **spec)
+        config = EmbedConfig(k=k, max_iters=0)
+        f_dense = dense_solve(monkeypatch, g, config)[0]
+        dense_calls = count_dense_eigensolves(monkeypatch)
+        f = solve(g, config)[0]
+        assert dense_calls == []
+        np.testing.assert_allclose(f.T @ f, np.eye(k), atol=1e-12)
+        cosines = np.linalg.svd(f_dense.T @ f, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bench_spec_solves_make_no_dense_eigensolve(self, monkeypatch, seed):
+        g = planted_graph(200, seed, **BENCH_SPEC)
+        dense_calls = count_dense_eigensolves(monkeypatch)
+        _, _, trace = solve(g, EmbedConfig(k=5))
+        assert trace.iterations >= 10
+        assert dense_calls == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [200, 300, 400])
@@ -438,7 +495,7 @@ class TestMatrixFreeEigenStep:
         f_dense, alphas_dense, trace_dense = dense_solve(monkeypatch, g, config)
         dense_calls = count_dense_eigensolves(monkeypatch)
         f, alphas, trace = solve(g, config)
-        assert dense_calls == [config.k + 1]  # the unit-weight start only
+        assert dense_calls == []
         assert trace.iterations == trace_dense.iterations >= 2
         assert np.max(np.abs(trace.alpha_history - trace_dense.alpha_history)) <= 1e-12
         assert np.max(np.abs(alphas - alphas_dense)) <= 1e-12
@@ -497,7 +554,7 @@ class TestMatrixFreeEigenStep:
 
         monkeypatch.setattr(mvgehd.solver, "lobpcg", inaccurate)
         got = solve(g, config)
-        assert len(calls) == got[2].iterations >= 2
+        assert len(calls) == got[2].iterations + 1 >= 3  # the first step included
         assert_same_solve(got, want)
 
     @pytest.mark.parametrize("case", ["disconnected", "block_too_large"])
