@@ -9,6 +9,10 @@ synthetic generator with planted modules and hubs.
 
 Lower-level pieces (the per-view operator, eigensolver and metric helpers)
 stay importable from their submodules.
+
+Importing the package loads numpy but no SciPy module: each is imported
+inside the function that calls it, so a command-line stage loads only the
+SciPy it uses.
 """
 
 from .graph import (

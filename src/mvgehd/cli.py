@@ -18,7 +18,8 @@ machine-readable JSON object to stderr and exit nonzero.
 Cohort commands (cluster-subjects, sweep-k) load every subject once and run
 the per-subject embeddings, and sweep-k's per-k scoring, on a pool of worker
 processes started with fork. The MVGEHD_THREADS environment variable caps the
-worker processes (default: the cores this process may run on).
+worker processes (default: the cores this process may run on); it is checked
+before any subject is loaded.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ from .synth import PlantedSpec, generate_cohort, generate_multiview, save_truth
 def _worker_count() -> int:
     env = os.environ.get("MVGEHD_THREADS")
     if env:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
         if count < 1:
-            raise ValueError(f"MVGEHD_THREADS must be >= 1, got {env}")
+            raise ValueError(f"MVGEHD_THREADS must be an integer >= 1, got {env!r}")
         return count
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -106,19 +110,27 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
 
 
 @contextlib.contextmanager
-def _process_pool():
-    """The worker processes of one cohort command.
+def _process_pool(workers: int):
+    """`workers` worker processes for one cohort command.
 
     Threads would serialize the many small solves on the interpreter lock.
     Fork, named explicitly, starts workers fastest and needs no `__main__`
     guard in callers that run `main` in-process; each worker inherits the
     imported package and runs only pure functions of its pickled arguments.
+    The package imports SciPy only inside the functions that call it, so
+    every SciPy module a worker can reach (the dense and matrix-free
+    eigen-steps of a solve, the assignment solver of sweep-k's scoring) is
+    imported here, once, before the fork. Otherwise every worker of every
+    pool imports it again on its first task, about 0.5 s of CPU each: on
+    the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
     On an error, work not yet handed to a worker is cancelled. Workers keep
     the BLAS library's default thread count, so subjects with n >= 200,
     whose solves run BLAS-threaded matrix products, would oversubscribe the
     cores with several BLAS threads per worker.
     """
-    pool = ProcessPoolExecutor(max_workers=_worker_count(),
+    import scipy.linalg, scipy.optimize, scipy.sparse.csgraph, scipy.sparse.linalg  # noqa: E401, F401
+
+    pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool
@@ -226,9 +238,10 @@ def _cohort_manifests(cohort_path) -> list:
 
 
 def cmd_cluster_subjects(args: argparse.Namespace) -> None:
+    workers = _worker_count()
     graphs = [load_multiview(p) for p in _cohort_manifests(args.cohort)]
     config = _embed_config(args, k=args.embed_k)
-    with _process_pool() as pool:
+    with _process_pool(workers) as pool:
         embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
     labels = cluster_subjects(embeddings, args.k,
                               KMeansConfig(restarts=args.restarts, seed=args.seed))
@@ -268,15 +281,17 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
             f"need 1 <= --k-min <= --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    workers = _worker_count()
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
     graphs = [load_multiview(p) for p in manifests]
     ks = range(args.k_min, args.k_max + 1)
-    with _process_pool() as pool:
+    with _process_pool(workers) as pool:
         # Every solve is queued before any result is awaited, so workers do
-        # not idle between ks; each k is scored as soon as its cohort is in.
+        # not idle between ks. The pool runs tasks first in, first out, so
+        # each k's scoring starts only after every solve queued before it.
         solving = [pool.map(_solve_embedding, graphs, repeat(_embed_config(args, k=k)))
                    for k in ks]
         score = partial(_score_k, truth=truth, repeats=args.repeats,

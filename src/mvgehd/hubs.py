@@ -22,8 +22,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .graph import MultiViewGraph
 
@@ -118,6 +116,9 @@ def betweenness(view: np.ndarray) -> np.ndarray:
     path length always changes it, which holds unless the largest and
     smallest affinity differ by a factor near 2**53 / n.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     a = np.asarray(view, dtype=np.float64)
     n = a.shape[0]
     edges = a > 0

@@ -1,11 +1,12 @@
 """Dense symmetric linear algebra primitives used by the embedding solver.
 
-The eigen-solves here go through LAPACK's dense symmetric drivers. They
-serve every eigen-step of the graphs the solver's matrix-free rule leaves
-out (below n = 200, or with a disconnected union graph), and redo any
-matrix-free step that misses its residual check; the solver runs the steps
-of other graphs matrix-free, by LOBPCG, and checks those against this dense
-path (see mvgehd.solver).
+The eigen-solves here go through LAPACK's dense symmetric drivers, by way
+of scipy.linalg, which the first solve imports (importing this module does
+not). They serve every eigen-step of the graphs the solver's matrix-free
+rule leaves out (below n = 200, or with a disconnected union graph), and
+redo any matrix-free step that misses its residual check; the solver runs
+the steps of other graphs matrix-free, by LOBPCG, and checks those against
+this dense path (see mvgehd.solver).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 ASYMMETRY_TOL = 1e-8
 
@@ -49,6 +49,8 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
     magnitude); it is symmetrized as (M + M^T)/2 before the solve so that
     floating-point assembly drift cannot leak into the eigenproblem.
     """
+    import scipy.linalg
+
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

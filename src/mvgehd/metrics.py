@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 _TIE_TOL = 1e-9
 
@@ -43,6 +42,8 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     lexicographically smallest permutation is returned, which makes the
     result deterministic.
     """
+    from scipy.optimize import linear_sum_assignment
+
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")

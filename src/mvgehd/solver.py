@@ -76,8 +76,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import lobpcg
 
 from .graph import MultiViewGraph, random_walk_matrix
 from .linalg import _fix_column_signs, smallest_eigenpairs, trace_form
@@ -282,6 +280,8 @@ def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
         return False
     # Off a connected union graph the bottom eigenspace is not just the
     # constant, so deflating the constant would answer another problem.
+    from scipy.sparse.csgraph import connected_components
+
     components, _ = connected_components(sum(graph.views) > 0, directed=False)
     return components == 1
 
@@ -290,6 +290,8 @@ def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
     """The k bottom eigenvectors of sum_v alpha_v M_v^T Q_v M_v orthogonal to
     the constant, by Jacobi-preconditioned LOBPCG from `start`; None if
     LOBPCG breaks down or a residual misses _MATRIX_FREE_TOL."""
+    from scipy.sparse.linalg import lobpcg
+
     n = start.shape[0]
     scales = [alpha * q for alpha, q in zip(alphas, row_weights)]
 

@@ -259,6 +259,25 @@ class TestSubjectPipeline:
         assert err["error"] == "ValueError" and message in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_thread_env_checked_before_loading(self, cohort_dir, tmp_path, capsys,
+                                               monkeypatch, command, threads):
+        def fail(path):
+            raise AssertionError("a subject was loaded before MVGEHD_THREADS was checked")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        monkeypatch.setenv("MVGEHD_THREADS", threads)
+        flags = {"cluster-subjects": ["--embed-k", 3],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json"]}[command]
+        out = tmp_path / "out.json"
+        code = run(command, "--cohort", cohort_dir / "cohort.json", *flags, "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"MVGEHD_THREADS must be an integer >= 1, got '{threads}'"
+        assert not out.exists()
+
     def test_isolated_node_error_from_worker(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert run("generate", "--out", out, "--n", 20, "--clusters", 2, "--views", 2,
