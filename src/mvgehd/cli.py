@@ -118,17 +118,18 @@ def _process_pool(workers: int):
     guard in callers that run `main` in-process; each worker inherits the
     imported package and runs only pure functions of its pickled arguments.
     The package imports SciPy only inside the functions that call it, so
-    every SciPy module a worker can reach (the dense and matrix-free
-    eigen-steps of a solve, the assignment solver of sweep-k's scoring) is
-    imported here, once, before the fork. Otherwise every worker of every
-    pool imports it again on its first task, about 0.5 s of CPU each: on
-    the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
+    every SciPy module a worker can reach is imported here, once, before
+    the fork: `scipy.linalg` and `scipy.sparse.linalg` for the dense and
+    matrix-free eigen-steps of a solve, `scipy.optimize` for the assignment
+    solver of sweep-k's scoring. Otherwise every worker of every pool
+    imports them again on its first task, about 0.5 s of CPU each: on the
+    cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
     On an error, work not yet handed to a worker is cancelled. Workers keep
     the BLAS library's default thread count, so subjects with n >= 200,
     whose solves run BLAS-threaded matrix products, would oversubscribe the
     cores with several BLAS threads per worker.
     """
-    import scipy.linalg, scipy.optimize, scipy.sparse.csgraph, scipy.sparse.linalg  # noqa: E401, F401
+    import scipy.linalg, scipy.optimize, scipy.sparse.linalg  # noqa: E401, F401
 
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("fork"))

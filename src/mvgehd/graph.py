@@ -3,7 +3,11 @@
 A multi-view graph is a single node set observed through several nonnegative
 symmetric affinity matrices (e.g., functional and structural brain
 connectivity over the same regions). Matrices are stored dense, 8 n^2
-bytes per view; the solver has been measured up to n = 2000.
+bytes per view, and the views are the only n-by-n arrays a graph holds:
+loading keeps each parsed matrix as its view, validation checks symmetry
+in row blocks, the matrix-free solver works on the views themselves plus
+O(n k) per view, and writing streams one row at a time. The solver has
+been measured up to n = 2000.
 
 File formats:
   - matrix: headerless CSV, n rows of n comma-separated decimal values.
@@ -23,6 +27,8 @@ from pathlib import Path
 import numpy as np
 
 SYMMETRY_TOL = 1e-9
+# Rows per block of the symmetry check, whose temporary is one block.
+_SYMMETRY_BLOCK_ROWS = 64
 
 TRANSFORMS = ("reject", "abs", "clamp0")
 
@@ -76,8 +82,16 @@ def validate_affinity(data: np.ndarray) -> np.ndarray:
     SYMMETRY_TOL, zero diagonal. A nonzero diagonal is stripped with a
     warning rather than rejected (self-affinity carries no meaning under
     neighbor averaging).
+
+    The input is copied, unless it is a read-only float64 array that owns
+    its memory: nothing can write to that without first turning writes
+    back on, so it is checked and returned as it is.
     """
-    arr = np.array(data, dtype=np.float64, copy=True)
+    if (type(data) is np.ndarray and data.dtype == np.float64
+            and data.flags.owndata and not data.flags.writeable):
+        arr = data
+    else:
+        arr = np.array(data, dtype=np.float64, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise GraphValidationError(f"affinity matrix must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -89,18 +103,30 @@ def validate_affinity(data: np.ndarray) -> np.ndarray:
         raise GraphValidationError(
             f"negative entry {arr[i, j]!r} at ({i}, {j}); "
             "apply a transform ('abs' or 'clamp0') or fix the data")
-    asym = np.max(np.abs(arr - arr.T)) if arr.size else 0.0
+    asym = _max_asymmetry(arr)
     if asym > SYMMETRY_TOL:
         raise GraphValidationError(
             f"affinity matrix asymmetric beyond tolerance: max |a_ij - a_ji| = {asym:g}")
-    diag = np.diagonal(arr)
-    if np.any(diag != 0):
+    if np.any(np.diagonal(arr) != 0):
         warnings.warn(
             "affinity matrix has nonzero diagonal entries; self-loops stripped",
             stacklevel=2)
+        if arr is data:
+            arr = arr.copy()
         np.fill_diagonal(arr, 0.0)
     arr.setflags(write=False)
     return arr
+
+
+def _max_asymmetry(arr: np.ndarray) -> float:
+    """max |a_ij - a_ji|, a block of _SYMMETRY_BLOCK_ROWS rows at a time so
+    the only temporary is one block, not an n-by-n difference."""
+    asym = 0.0
+    for start in range(0, arr.shape[0], _SYMMETRY_BLOCK_ROWS):
+        stop = start + _SYMMETRY_BLOCK_ROWS
+        diff = arr[start:stop] - arr[:, start:stop].T
+        asym = max(asym, float(np.max(np.abs(diff, out=diff))))
+    return asym
 
 
 @dataclass(frozen=True)
@@ -139,13 +165,15 @@ class MultiViewGraph:
         return len(self.views)
 
 
-def random_walk_matrix(view: np.ndarray, isolated_policy: str = "error") -> np.ndarray:
-    """Row-normalize an affinity matrix so each row is a neighbor distribution.
+def affinity_and_degrees(view: np.ndarray,
+                         isolated_policy: str = "error") -> tuple[np.ndarray, np.ndarray]:
+    """The affinity A and the degrees d (row sums) of the walk W = A / d.
 
-    Zero-degree nodes make the normalization undefined; `error` raises
-    IsolatedNodeError naming the first such node, while `self_loop` first
-    gives each isolated node a unit self-loop (its row becomes a point mass
-    on itself).
+    W, row i of A divided by d_i, is each node's neighbor distribution.
+    Zero-degree nodes make it undefined; `error` raises IsolatedNodeError
+    naming the first such node, while `self_loop` gives each isolated node
+    a unit self-loop (its row of W becomes a point mass on itself) in a
+    copy of the view. Otherwise A is the view itself, not a copy.
     """
     if isolated_policy not in ISOLATED_POLICIES:
         raise ValueError(
@@ -159,6 +187,15 @@ def random_walk_matrix(view: np.ndarray, isolated_policy: str = "error") -> np.n
         a = a.copy()
         a[isolated, isolated] = 1.0
         d = a.sum(axis=1)
+    return a, d
+
+
+def random_walk_matrix(view: np.ndarray, isolated_policy: str = "error") -> np.ndarray:
+    """Row-normalize an affinity matrix so each row is a neighbor distribution.
+
+    Isolated nodes are handled by `isolated_policy` as in affinity_and_degrees.
+    """
+    a, d = affinity_and_degrees(view, isolated_policy)
     return a / d[:, None]
 
 
@@ -172,9 +209,11 @@ def save_matrix_csv(data: np.ndarray, path) -> None:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     # repr() of a Python float is the shortest string that parses back
-    # bit-identically, so load(save(load(p))) == load(p).
-    lines = [",".join(repr(float(x)) for x in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # bit-identically, so load(save(load(p))) == load(p). Rows are
+    # streamed, so no more than one row's text is held at a time.
+    with open(path, "w") as out:
+        for row in arr:
+            out.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -209,7 +248,11 @@ def load_multiview(manifest_path) -> MultiViewGraph:
         raw = load_matrix_csv(base / rel)
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise GraphValidationError(f"matrix file {rel} is not square: shape {raw.shape}")
-        views.append(apply_transform(raw, transform))
+        view = apply_transform(raw, transform)
+        # Nothing else holds the parsed array, so once read-only it becomes
+        # the graph's view without a copy (see validate_affinity).
+        view.setflags(write=False)
+        views.append(view)
     node_names = manifest.get("node_names")
     return MultiViewGraph(views=tuple(views), node_names=tuple(node_names) if node_names else None)
 

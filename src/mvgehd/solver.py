@@ -44,26 +44,30 @@ cost; without it an n sqrt(epsilon) floor inside the outer sqrt shrinks the
 weight of well-fit views. Iteration stops when the relative change of the
 reported objective falls below rel_tol, or at max_iters.
 
-Each view's W is built once per solve, in a ViewOperator. A pass forms
-the residuals and h_v first and takes an eigen-step only when one follows,
-so the pass that stops does none. Every eigen-step, the first (unit row
-weights) included, picks its backend from the graph:
+Each view enters the solve as a ViewOperator that holds the view's own
+affinity A and its degrees d, and applies W = A / d without forming it,
+so beyond its input a matrix-free solve holds O(m n k) floats and no
+n-by-n array. A pass forms the residuals and h_v first and takes an
+eigen-step only when one follows, so the pass that stops does none. Every
+eigen-step, the first (unit row weights) included, picks its backend from
+the graph:
 
   - matrix-free, when n >= 200, n >= 5 (k + 1) and the union graph (an
-    edge wherever any view has one) is connected. LOBPCG (Knyazev 2001)
-    runs on the map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
+    edge wherever any view has one) is connected, which a breadth-first
+    search on a boolean mask decides. LOBPCG (Knyazev 2001) runs on the
+    map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
     Z = (alpha_v q_v) o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per
     block product; no n-by-n operator is formed. It is preconditioned by
-    Jacobi, X -> X / diag(A), with diag(A) summed over the views from
-    their walk matrices in O(m n^2). The first step starts from a fixed
-    seeded Gaussian block, so repeat runs are byte-identical; later steps
-    are warm-started from the current F. The constant vector is deflated,
-    which on a connected union graph is exactly the skipped bottom
-    eigenvector. Every column must then reach a residual
-    ||A x - lambda x|| <= 1e-10, measured here rather than taken from
-    LOBPCG; a step that misses it is redone dense. Eigenvalues are put in
-    ascending order and the sign convention of mvgehd.linalg applies, as
-    on the dense path.
+    Jacobi, X -> X / diag(B) for the summed operator B, with diag(B)
+    summed over the views from their affinities and degrees in O(m n^2).
+    The first step starts from a fixed seeded Gaussian block, so repeat
+    runs are byte-identical; later steps are warm-started from the current
+    F. The constant vector is deflated, which on a connected union graph
+    is exactly the skipped bottom eigenvector. Every column must then reach
+    a residual ||B x - lambda x|| <= 1e-10, measured here rather than
+    taken from LOBPCG; a step that misses it is redone dense. Eigenvalues
+    are put in ascending order and the sign convention of mvgehd.linalg
+    applies, as on the dense path.
   - dense otherwise: the m reweighted operators are built and summed, and
     a subset eigh returns the k + 1 smallest eigenpairs. This path is the
     oracle the matrix-free one is tested against, and the faster one on
@@ -77,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MultiViewGraph, random_walk_matrix
+from .graph import MultiViewGraph, affinity_and_degrees
 from .linalg import _fix_column_signs, smallest_eigenpairs, trace_form
 
 # Traces this far below zero mean an operator lost positive semidefiniteness.
@@ -142,30 +146,38 @@ class SolveTrace:
 
 @dataclass(frozen=True, eq=False)
 class ViewOperator:
-    """One view's walk matrix W, built once; the contrast M = I - W is not stored."""
-    walk: np.ndarray
+    """One view's walk W = A / d, held as the affinity A and its degrees d.
+
+    W (row i of A divided by d_i) is never formed: W X is applied as
+    (A X) / d and W^T Z as A^T (Z / d), which hold for any A. `affinity` is
+    the view itself, not a copy, unless isolated nodes were given
+    self-loops (see mvgehd.graph.affinity_and_degrees). The contrast
+    M = I - W is formed only by laplacian, for the dense eigen-step.
+    """
+    affinity: np.ndarray
+    degrees: np.ndarray
 
     @classmethod
     def from_view(cls, view: np.ndarray, isolated_policy: str = "error") -> ViewOperator:
-        return cls(walk=random_walk_matrix(view, isolated_policy))
+        return cls(*affinity_and_degrees(view, isolated_policy))
 
     def residual(self, embedding: np.ndarray) -> np.ndarray:
         """Residual of each row against its neighbor average: F - W F."""
         f = np.asarray(embedding, dtype=np.float64)
-        if f.shape[0] != self.walk.shape[0]:
+        if f.shape[0] != self.affinity.shape[0]:
             raise ValueError(
-                f"embedding has {f.shape[0]} rows for a {self.walk.shape[0]}-node view")
-        return f - self.walk @ f
+                f"embedding has {f.shape[0]} rows for a {self.affinity.shape[0]}-node view")
+        return f - (self.affinity @ f) / self.degrees[:, None]
 
     def laplacian(self, row_weights: np.ndarray) -> np.ndarray:
         """Reweighted walk operator L = M^T Q M, Q = diag(row_weights)."""
         q = np.asarray(row_weights, dtype=np.float64)
         if np.any(q <= 0) or not np.all(np.isfinite(q)):
             raise ValueError("row weights must be positive and finite")
-        n = self.walk.shape[0]
+        n = self.affinity.shape[0]
         if q.shape != (n,):
             raise ValueError(f"expected {n} row weights, got shape {q.shape}")
-        contrast = np.eye(n) - self.walk
+        contrast = np.eye(n) - self.affinity / self.degrees[:, None]
         lap = contrast.T @ (q[:, None] * contrast)
         # Symmetrize away the last-ulp drift of the triple product.
         return (lap + lap.T) / 2.0
@@ -173,14 +185,14 @@ class ViewOperator:
     def apply(self, block: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
         """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix."""
         z = row_scale[:, None] * self.residual(block)
-        return z - self.walk.T @ z
+        return z - self.affinity.T @ (z / self.degrees[:, None])
 
     def diagonal(self, row_scale: np.ndarray) -> np.ndarray:
-        """diag(M^T S M)_i = s_i (1 - W_ii)^2 + sum_{j != i} s_j W_ji^2, in O(n^2)
-        without an n-by-n temporary."""
-        w = self.walk
-        return (np.einsum("ji,ji,j->i", w, w, row_scale)
-                + row_scale * (1.0 - 2.0 * np.diagonal(w)))
+        """diag(M^T S M)_i = s_i (1 - 2 W_ii) + sum_j s_j W_ji^2 with
+        W_ji = A_ji / d_j, in O(n^2) without an n-by-n temporary."""
+        a, d = self.affinity, self.degrees
+        return (np.einsum("ji,ji,j->i", a, a, row_scale / d ** 2)
+                + row_scale * (1.0 - 2.0 * np.diagonal(a) / d))
 
 
 def residual_row_weights(residual: np.ndarray, epsilon: float) -> np.ndarray:
@@ -280,10 +292,30 @@ def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
         return False
     # Off a connected union graph the bottom eigenspace is not just the
     # constant, so deflating the constant would answer another problem.
-    from scipy.sparse.csgraph import connected_components
+    return _union_connected(graph.views)
 
-    components, _ = connected_components(sum(graph.views) > 0, directed=False)
-    return components == 1
+
+def _union_connected(views) -> bool:
+    """Whether the union graph, with an undirected edge i-j wherever some
+    view has a_ij > 0 or a_ji > 0, is connected.
+
+    A breadth-first search on a boolean mask: each node's row is scanned
+    once when it joins the frontier, so O(n^2) work and n^2 bytes, no
+    float temporary.
+    """
+    union = views[0] > 0
+    for view in views[1:]:
+        union |= view > 0
+    # Validation allows a_ij > 0 = a_ji within SYMMETRY_TOL; such an edge
+    # joins i and j either way.
+    union |= union.T
+    reached = np.zeros(union.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = union[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):

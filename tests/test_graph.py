@@ -61,6 +61,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             arr[0, 1] = 2.0
 
+    def test_asymmetry_reported_from_any_row_block(self):
+        # Wider than one block of the symmetry check; the worst pair sits
+        # in the last block.
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0, 1, size=(150, 150))
+        a = (a + a.T) / 2
+        np.fill_diagonal(a, 0.0)
+        validate_affinity(a)
+        a[140, 3] += 3e-9
+        a[20, 70] += 2e-9
+        want = np.max(np.abs(a - a.T))
+        with pytest.raises(GraphValidationError) as err:
+            validate_affinity(a)
+        assert str(err.value).endswith(f"max |a_ij - a_ji| = {want:g}")
+
+    def test_copies_unless_read_only_and_owning(self):
+        a = np.array([[0, 1.0], [1.0, 0]])
+        assert validate_affinity(a) is not a
+        a.setflags(write=False)
+        assert validate_affinity(a) is a
+        assert validate_affinity(a[:, :]) is not a
+
+    def test_read_only_input_keeps_its_diagonal(self):
+        a = np.array([[0.5, 1.0], [1.0, 0]])
+        a.setflags(write=False)
+        with pytest.warns(UserWarning, match="self-loops"):
+            arr = validate_affinity(a)
+        assert arr[0, 0] == 0.0 and a[0, 0] == 0.5
+
     def test_views_must_share_n(self):
         with pytest.raises(GraphValidationError, match="dimension mismatch"):
             MultiViewGraph(views=(np.zeros((3, 3)), np.zeros((4, 4))))
@@ -180,3 +209,13 @@ class TestManifestIO:
         m = rng.normal(size=(4, 6))
         save_matrix_csv(m, tmp_path / "m.csv")
         np.testing.assert_array_equal(load_matrix_csv(tmp_path / "m.csv"), m)
+
+    def test_csv_text_matches_per_float_repr(self, tmp_path):
+        edge = [0.0, -0.0, 1e-05, 1e-4, 1e16, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        rng = np.random.default_rng(6)
+        m = np.vstack([edge, -np.array(edge), rng.normal(scale=0.3, size=(3, 8))])
+        save_matrix_csv(m, tmp_path / "m.csv")
+        want = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+        assert (tmp_path / "m.csv").read_bytes() == want.encode()
+        got = load_matrix_csv(tmp_path / "m.csv")
+        assert got.tobytes() == m.tobytes()

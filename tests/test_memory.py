@@ -1,0 +1,67 @@
+"""Memory of the n-by-n layers: loading, solving and writing hold the views
+plus at most one more n-by-n array's worth.
+
+Peaks are measured with tracemalloc, which numpy reports its array
+buffers to, as bytes allocated above what was held before the call.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mvgehd.graph import load_multiview, save_matrix_csv, save_multiview
+from mvgehd.solver import EmbedConfig, solve
+from mvgehd.synth import PlantedSpec, generate_multiview
+
+N = 400
+VIEW_BYTES = 8 * N * N
+# Parser buffers, manifest and small per-view arrays.
+SLACK_BYTES = 2 ** 20
+
+
+def peak_above_start(fn):
+    """Run fn; return its result and the most bytes it held above the start."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def graph():
+    # The embed benchmark's spec: 3 views, one pure noise; connected, so
+    # its eigen-steps run matrix-free.
+    spec = PlantedSpec(n=N, clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
+                       p_intra=0.5, noise_sigma=0.02, seed=0)
+    return generate_multiview(spec)[0]
+
+
+def test_solve_holds_at_most_one_view_beyond_its_inputs(graph):
+    config = EmbedConfig(k=5, max_iters=3)
+    # Untraced first run: imports done on first use are not the solve's.
+    solve(graph, config)
+    (_, _, trace), peak = peak_above_start(lambda: solve(graph, config))
+    assert trace.iterations == 3
+    assert peak <= VIEW_BYTES
+
+
+def test_load_holds_the_views_plus_one(graph, tmp_path):
+    manifest = save_multiview(graph, tmp_path / "g")
+    loaded, peak = peak_above_start(lambda: load_multiview(manifest))
+    views = sum(v.nbytes for v in loaded.views)
+    assert views == graph.m * VIEW_BYTES
+    assert peak <= views + VIEW_BYTES + SLACK_BYTES
+
+
+def test_save_streams_rows(graph, tmp_path):
+    _, peak = peak_above_start(lambda: save_matrix_csv(graph.views[0], tmp_path / "v.csv"))
+    assert peak <= N * N

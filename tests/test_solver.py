@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 import mvgehd.solver
-from mvgehd.graph import IsolatedNodeError, MultiViewGraph
+from mvgehd.graph import SYMMETRY_TOL, IsolatedNodeError, MultiViewGraph
 from mvgehd.linalg import _fix_column_signs, smallest_eigenpairs
 from mvgehd.solver import (
     EmbedConfig,
@@ -174,7 +175,7 @@ class TestViewDiagonal:
         else:
             a[2, :] = a[:, 2] = 0.0
             op = ViewOperator.from_view(a, isolated_policy="self_loop")
-        assert op.walk[2, 2] != 0
+        assert op.affinity[2, 2] != 0
         q = rng.uniform(0.1, 2.0, size=8)
         np.testing.assert_allclose(op.diagonal(q), np.diag(op.laplacian(q)),
                                    rtol=0, atol=1e-12)
@@ -458,6 +459,73 @@ def assert_same_solve(got, want):
     np.testing.assert_array_equal(trace.objectives, trace_want.objectives)
     np.testing.assert_array_equal(trace.alpha_history, trace_want.alpha_history)
     assert (trace.iterations, trace.converged) == (trace_want.iterations, trace_want.converged)
+
+
+def csgraph_components(views):
+    return connected_components(sum(views) > 0, directed=False)[0]
+
+
+def two_cliques(bridge):
+    """Views of two 4-cliques; `bridge` links node 3 to node 4 in view 1."""
+    clique = np.ones((4, 4)) - np.eye(4)
+    a = np.zeros((8, 8))
+    a[:4, :4] = a[4:, 4:] = clique
+    b = np.zeros((8, 8))
+    if bridge == "one_directional":
+        # Validation lets a_ij > 0 = a_ji through within SYMMETRY_TOL. Node 0
+        # reaches node 4 only against this edge's direction.
+        b[4, 3] = SYMMETRY_TOL / 2
+    elif bridge == "both":
+        b[3, 4] = b[4, 3] = 0.5
+    return MultiViewGraph(views=(a, b)).views
+
+
+class TestUnionConnectivity:
+    """The matrix-free rule's connectivity test, against scipy's
+    connected_components on the summed views as the oracle."""
+
+    @pytest.mark.parametrize("bridge, want", [
+        ("both", True), ("one_directional", True), ("none", False)])
+    def test_two_cliques(self, bridge, want):
+        views = two_cliques(bridge)
+        assert mvgehd.solver._union_connected(views) is want
+        assert (csgraph_components(views) == 1) == want
+
+    def test_isolated_node_under_self_loop(self):
+        # The operator gives node 7 a self-loop, which joins it to nothing.
+        views = []
+        for v in planted_graph(200, 0).views:
+            a = np.array(v)
+            a[7, :] = a[:, 7] = 0.0
+            views.append(a)
+        g = MultiViewGraph(views=tuple(views))
+        op = ViewOperator.from_view(g.views[0], isolated_policy="self_loop")
+        assert op.affinity[7, 7] == 1.0
+        assert csgraph_components(g.views) == 2
+        assert not mvgehd.solver._union_connected(g.views)
+        assert not mvgehd.solver._matrix_free_applies(g, 3)
+
+    def test_random_unions_match_oracle(self):
+        rng = np.random.default_rng(40)
+        components = []
+        for _ in range(300):
+            n, m = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+            # Edge density around the connectivity threshold, so both
+            # outcomes and several components are common.
+            p = rng.uniform(0.3, 1.5) * np.log(n) / n / m
+            views = []
+            for _ in range(m):
+                upper = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < p), 1)
+                a = upper + upper.T
+                i, j = rng.integers(0, n, size=2)
+                if i != j and a[i, j] == 0 and rng.random() < 0.5:
+                    a[i, j] = SYMMETRY_TOL / 2
+                views.append(a)
+            views = MultiViewGraph(views=tuple(views)).views
+            components.append(csgraph_components(views))
+            assert mvgehd.solver._union_connected(views) == (components[-1] == 1)
+        assert 0.2 < np.mean(np.equal(components, 1)) < 0.8
+        assert np.mean(np.greater(components, 2)) > 0.2
 
 
 class TestMatrixFreeEigenStep:
