@@ -39,8 +39,9 @@ import numpy as np
 
 from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
-from .graph import load_matrix_csv, load_multiview, save_matrix_csv, save_multiview
-from .hubs import betweenness, hub_report, hub_scores
+from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, save_matrix_csv,
+                    save_multiview)
+from .hubs import HUB_METHODS, betweenness, hub_report, hub_scores
 from .metrics import evaluate
 from .solver import EmbedConfig, solve
 from .synth import PlantedSpec, generate_cohort, generate_multiview, save_truth
@@ -91,11 +92,11 @@ def _parse_weights(text: str | None):
     return tuple(float(x) for x in text.split(","))
 
 
-def _parse_quality(text: str | None, views: int):
+def _parse_quality(text: str | None):
     if text is None:
         return 1.0
     parts = tuple(float(x) for x in text.split(","))
-    return parts[0] if len(parts) == 1 and views != 1 else parts
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig:
@@ -104,7 +105,7 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         rel_tol=args.tol,
-        weights=_parse_weights(getattr(args, "weights", None)),
+        weights=_parse_weights(args.weights),
         isolated_policy=args.isolated_policy,
     )
 
@@ -144,25 +145,24 @@ def _solve_embedding(graph, config: EmbedConfig) -> np.ndarray:
 
 
 def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
-    def pick(name, default):
+    def pick(name):
         if side:
-            override = getattr(args, f"b_{name}", None)
+            override = getattr(args, f"b_{name}")
             if override is not None:
                 return override
-        return getattr(args, name, default)
+        return getattr(args, name)
 
-    views = pick("views", 2)
     return PlantedSpec(
         n=args.n,
-        clusters=pick("clusters", 2),
-        hubs=pick("hubs", 0),
-        views=views,
-        p_intra=pick("p_intra", 0.9),
-        p_inter=pick("p_inter", 0.01),
-        noise_sigma=pick("noise", 0.01),
-        view_quality=_parse_quality(pick("view_quality", None), views),
-        hub_spread=pick("hub_spread", 0.7),
-        seed=pick("seed", 0),
+        clusters=pick("clusters"),
+        hubs=pick("hubs"),
+        views=args.views,
+        p_intra=pick("p_intra"),
+        p_inter=pick("p_inter"),
+        noise_sigma=pick("noise"),
+        view_quality=_parse_quality(pick("view_quality")),
+        hub_spread=pick("hub_spread"),
+        seed=pick("seed"),
     )
 
 
@@ -302,17 +302,16 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     _write_json(args.out, {"rows": rows, "best": best}, args)
 
 
-def _add_embed_flags(p: argparse.ArgumentParser, with_weights: bool = True) -> None:
+def _add_embed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=1e-4,
                    help="residual smoothing constant (default 1e-4)")
     p.add_argument("--max-iters", type=int, default=100, help="iteration cap")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="relative objective-change stopping threshold")
-    p.add_argument("--isolated-policy", choices=("error", "self_loop"),
+    p.add_argument("--isolated-policy", choices=ISOLATED_POLICIES,
                    default="error", help="zero-degree node handling")
-    if with_weights:
-        p.add_argument("--weights", type=str, default=None,
-                       help="comma list of fixed view weights (disables auto-weighting)")
+    p.add_argument("--weights", type=str, default=None,
+                   help="comma list of fixed view weights (disables auto-weighting)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("hubs", help="score nodes and select hubs")
-    p.add_argument("--method", choices=("row_norm", "betweenness"), default="row_norm")
+    p.add_argument("--method", choices=HUB_METHODS, default="row_norm")
     p.add_argument("--embedding", type=Path, default=None,
                    help="embedding CSV (row_norm method)")
     p.add_argument("--manifest", type=Path, default=None,

@@ -1,9 +1,9 @@
 """K-means on embedding rows, subject-level similarity, and spectral
 clustering of subjects.
 
-Node clustering runs plain restarted Lloyd k-means on the rows of one
-embedding. Subject clustering compares whole embeddings by Frobenius
-distance, converts the distances to a Gaussian affinity with a
+Node clustering runs restarted Lloyd k-means, seeded by k-means++, on the
+rows of one embedding. Subject clustering compares whole embeddings by
+Frobenius distance, converts the distances to a Gaussian affinity with a
 median-heuristic bandwidth, and runs normalized spectral clustering on the
 result. Comparing embeddings across subjects relies on the deterministic
 eigenvector ordering and sign convention used by the solver.
@@ -17,24 +17,18 @@ import numpy as np
 
 from .linalg import smallest_eigenpairs
 
-KMEANS_INITS = ("kmeanspp", "random")
+_KMEANS_MAX_ITERS = 300
 
 
 @dataclass(frozen=True)
 class KMeansConfig:
-    """Restart count, iteration cap, seed, and init scheme for k-means."""
+    """Restart count and seed for k-means with k-means++ seeding."""
     restarts: int = 20
-    max_iters: int = 300
     seed: int | None = None
-    init: str = "kmeanspp"
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.init not in KMEANS_INITS:
-            raise ValueError(f"unknown init {self.init!r}; expected one of {KMEANS_INITS}")
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -42,11 +36,8 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def _init_centers(points: np.ndarray, k: int, rng: np.random.Generator,
-                  init: str) -> np.ndarray:
+def _init_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
-    if init == "random":
-        return points[rng.choice(n, size=k, replace=False)].copy()
     # k-means++: first center uniform, then D^2 sampling.
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -110,8 +101,8 @@ def kmeans(points: np.ndarray, k: int, config: KMeansConfig = KMeansConfig()) ->
     best_labels, best_wcss = None, np.inf
     for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
         rng = np.random.default_rng(child)
-        centers = _init_centers(pts, k, rng, config.init)
-        labels, wcss, _ = _lloyd(pts, centers, config.max_iters)
+        centers = _init_centers(pts, k, rng)
+        labels, wcss, _ = _lloyd(pts, centers, _KMEANS_MAX_ITERS)
         if wcss < best_wcss:
             best_labels, best_wcss = labels, wcss
     return best_labels

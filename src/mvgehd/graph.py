@@ -190,15 +190,6 @@ def affinity_and_degrees(view: np.ndarray,
     return a, d
 
 
-def random_walk_matrix(view: np.ndarray, isolated_policy: str = "error") -> np.ndarray:
-    """Row-normalize an affinity matrix so each row is a neighbor distribution.
-
-    Isolated nodes are handled by `isolated_policy` as in affinity_and_degrees.
-    """
-    a, d = affinity_and_degrees(view, isolated_policy)
-    return a / d[:, None]
-
-
 # ---------------------------------------------------------------------------
 # File I/O
 # ---------------------------------------------------------------------------
@@ -257,7 +248,7 @@ def load_multiview(manifest_path) -> MultiViewGraph:
     return MultiViewGraph(views=tuple(views), node_names=tuple(node_names) if node_names else None)
 
 
-def save_multiview(graph: MultiViewGraph, out_dir, transform: str = "reject") -> Path:
+def save_multiview(graph: MultiViewGraph, out_dir) -> Path:
     """Write a graph as view_<i>.csv files plus manifest.json; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,7 +257,7 @@ def save_multiview(graph: MultiViewGraph, out_dir, transform: str = "reject") ->
         name = f"view_{i}.csv"
         save_matrix_csv(view, out_dir / name)
         names.append(name)
-    manifest = {"views": names, "transform": transform}
+    manifest = {"views": names, "transform": "reject"}
     if graph.node_names is not None:
         manifest["node_names"] = list(graph.node_names)
     manifest_path = out_dir / "manifest.json"

@@ -49,16 +49,6 @@ class HubReport:
             "selected": [int(i) for i in self.selected],
         }, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "HubReport":
-        obj = json.loads(text)
-        return HubReport(
-            method=obj["method"],
-            scores=np.asarray(obj["scores"], dtype=np.float64),
-            ranking=np.asarray(obj["ranking"], dtype=np.int64),
-            selected=np.asarray(obj["selected"], dtype=np.int64),
-        )
-
 
 def hub_scores(embedding: np.ndarray) -> np.ndarray:
     """Euclidean norm of each embedding row; small norm means hub-like."""
@@ -189,12 +179,12 @@ def hub_report(scores: np.ndarray, method: str, top: int | None = None,
         if (top is None) == (threshold is None):
             raise ValueError("give exactly one of top= or threshold=")
         if top is not None:
-            selected = np.sort(select_hubs(-scores, top=top))
+            selected = select_hubs(-scores, top=top)
         else:
             selected = np.flatnonzero(scores >= threshold)
     return HubReport(
         method=method,
         scores=scores,
         ranking=score_ranking(scores),
-        selected=np.sort(selected),
+        selected=selected,
     )

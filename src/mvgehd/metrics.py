@@ -105,11 +105,16 @@ def contingency_table(pred, truth) -> np.ndarray:
     return table
 
 
-def accuracy(pred, truth) -> float:
-    """Fraction of samples matched under the best label bijection."""
+def _best_match(pred, truth):
+    """Accuracy under the best label bijection, and that bijection."""
     table = contingency_table(pred, truth)
     perm = hungarian(-table.astype(np.float64))
-    return float(table[np.arange(table.shape[0]), perm].sum()) / float(len(np.asarray(pred)))
+    return float(table[np.arange(table.shape[0]), perm].sum()) / float(table.sum()), perm
+
+
+def accuracy(pred, truth) -> float:
+    """Fraction of samples matched under the best label bijection."""
+    return _best_match(pred, truth)[0]
 
 
 def nmi(pred, truth) -> float:
@@ -136,7 +141,5 @@ def nmi(pred, truth) -> float:
 
 def evaluate(pred, truth) -> EvalResult:
     """Accuracy, NMI, and the accuracy label mapping, in one result."""
-    table = contingency_table(pred, truth)
-    perm = hungarian(-table.astype(np.float64))
-    acc = float(table[np.arange(table.shape[0]), perm].sum()) / float(len(np.asarray(pred)))
+    acc, perm = _best_match(pred, truth)
     return EvalResult(acc=acc, nmi=nmi(pred, truth), mapping=perm)

@@ -68,10 +68,10 @@ the graph:
     taken from LOBPCG; a step that misses it is redone dense. Eigenvalues
     are put in ascending order and the sign convention of mvgehd.linalg
     applies, as on the dense path.
-  - dense otherwise: the m reweighted operators are built and summed, and
-    a subset eigh returns the k + 1 smallest eigenpairs. This path is the
-    oracle the matrix-free one is tested against, and the faster one on
-    small graphs.
+  - dense otherwise: the m reweighted operators are built one at a time
+    and added into one n-by-n sum, and a subset eigh returns the k + 1
+    smallest eigenpairs. This path is the oracle the matrix-free one is
+    tested against, and the faster one on small graphs.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MultiViewGraph, affinity_and_degrees
+from .graph import ISOLATED_POLICIES, MultiViewGraph, affinity_and_degrees
 from .linalg import _fix_column_signs, smallest_eigenpairs, trace_form
 
 # Traces this far below zero mean an operator lost positive semidefiniteness.
@@ -128,6 +128,10 @@ class EmbedConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.rel_tol < 0:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
+        if self.isolated_policy not in ISOLATED_POLICIES:
+            raise ValueError(
+                f"unknown isolated_policy {self.isolated_policy!r}; "
+                f"expected one of {ISOLATED_POLICIES}")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             if len(w) == 0 or not all(np.isfinite(x) and x > 0 for x in w):
@@ -279,10 +283,6 @@ def _check_solve_inputs(n: int, m: int, config: EmbedConfig) -> None:
             f"{len(config.weights)} fixed weights for {m} views")
 
 
-def _embedding_from_operator(ltilde: np.ndarray, k: int) -> np.ndarray:
-    return smallest_eigenpairs(ltilde, k + 1).eigenvectors[:, 1:]
-
-
 def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
     """Whether the eigen-steps of a solve, the first included, may run matrix-free."""
     n = graph.n
@@ -383,8 +383,10 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
         f_next = (_matrix_free_embedding(ops, row_weights, weights, start)
                   if matrix_free else None)
         if f_next is None:
-            laps = [op.laplacian(q) for op, q in zip(ops, row_weights)]
-            f_next = _embedding_from_operator(combined_laplacian(laps, weights), config.k)
+            total = np.zeros((n, n))
+            for op, q, w in zip(ops, row_weights, weights):
+                total += float(w) * op.laplacian(q)
+            f_next = smallest_eigenpairs(total, config.k + 1).eigenvectors[:, 1:]
         return f_next
 
     # Deterministic start: unweighted operators (unit row weights), equal

@@ -182,12 +182,3 @@ def save_truth(truth: PlantedTruth, path) -> None:
         "labels": [int(x) for x in truth.labels],
         "hub_set": [int(x) for x in truth.hub_set],
     }, sort_keys=True) + "\n")
-
-
-def load_truth(path) -> PlantedTruth:
-    """Read ground truth written by save_truth."""
-    obj = json.loads(Path(path).read_text())
-    return PlantedTruth(
-        labels=np.asarray(obj["labels"], dtype=np.int64),
-        hub_set=np.asarray(obj["hub_set"], dtype=np.int64),
-    )

@@ -7,6 +7,7 @@ from mvgehd.clustering import (
     KMeansConfig,
     _init_centers,
     _lloyd,
+    _squared_distances,
     cluster_subjects,
     kmeans,
     node_clusters,
@@ -61,21 +62,21 @@ class TestKMeans:
         rng = np.random.default_rng(3)
         for _ in range(10):
             pts = rng.normal(size=(25, 2))
-            centers = _init_centers(pts, 4, rng, "kmeanspp")
+            centers = _init_centers(pts, 4, rng)
             _, _, history = _lloyd(pts, centers, 50)
             assert np.all(np.diff(history) <= 1e-9)
 
     def test_every_cluster_non_empty(self):
+        # Two blobs and three centers, the third far from every point: the
+        # first assignment leaves it empty, so Lloyd must re-seed it.
         rng = np.random.default_rng(4)
-        pts = rng.normal(size=(12, 2))
-        labels = kmeans(pts, 5, KMeansConfig(seed=0, init="random"))
-        assert len(np.unique(labels)) == 5
-
-    def test_random_init_supported(self):
-        rng = np.random.default_rng(5)
-        pts = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(10, 2)) + 20])
-        labels = kmeans(pts, 2, KMeansConfig(seed=0, init="random"))
-        assert accuracy(labels, np.array([0] * 10 + [1] * 10)) == 1.0
+        pts = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 10])
+        centers = np.array([[0.0, 0.0], [10.0, 10.0], [1e3, -1e3]])
+        assert 2 not in np.argmin(_squared_distances(pts, centers), axis=1)
+        labels, wcss, history = _lloyd(pts, centers, 50)
+        assert len(np.unique(labels)) == 3
+        assert wcss == history[-1] == pytest.approx(wcss_of(pts, labels), rel=1e-12)
+        assert np.all(np.diff(history) <= 1e-9)
 
 
 class TestNodeClusters:

@@ -10,10 +10,10 @@ from mvgehd.graph import (
     GraphValidationError,
     IsolatedNodeError,
     MultiViewGraph,
+    affinity_and_degrees,
     apply_transform,
     load_matrix_csv,
     load_multiview,
-    random_walk_matrix,
     save_matrix_csv,
     save_multiview,
     validate_affinity,
@@ -122,18 +122,21 @@ class TestTransforms:
 
 
 class TestRandomWalk:
+    """affinity_and_degrees: the affinity A and degrees d of the walk A / d."""
+
     def test_two_node_swap(self):
-        out = random_walk_matrix(np.array([[0, 2], [2, 0]], float))
-        np.testing.assert_array_equal(out, [[0, 1], [1, 0]])
+        a, d = affinity_and_degrees(np.array([[0, 2], [2, 0]], float))
+        np.testing.assert_array_equal(d, [2, 2])
+        np.testing.assert_array_equal(a / d[:, None], [[0, 1], [1, 0]])
 
     def test_complete_graph(self):
-        a = np.ones((3, 3)) - np.eye(3)
-        out = random_walk_matrix(a)
-        np.testing.assert_allclose(out, (np.ones((3, 3)) - np.eye(3)) / 2)
+        a, d = affinity_and_degrees(np.ones((3, 3)) - np.eye(3))
+        np.testing.assert_array_equal(d, [2, 2, 2])
+        np.testing.assert_allclose(a / d[:, None], (np.ones((3, 3)) - np.eye(3)) / 2)
 
     def test_isolated_error_reports_index(self):
         with pytest.raises(IsolatedNodeError) as err:
-            random_walk_matrix(np.zeros((2, 2)))
+            affinity_and_degrees(np.zeros((2, 2)))
         assert err.value.index == 0
 
     def test_isolated_error_survives_pickle(self):
@@ -144,10 +147,12 @@ class TestRandomWalk:
         assert str(err) == "node 3 has zero degree (isolated)"
 
     def test_self_loop_policy(self):
-        a = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float)
-        out = random_walk_matrix(a, isolated_policy="self_loop")
-        np.testing.assert_allclose(out.sum(axis=1), [1, 1, 1])
-        assert out[0, 0] == 1.0
+        view = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float)
+        a, d = affinity_and_degrees(view, isolated_policy="self_loop")
+        np.testing.assert_array_equal(d, [1, 1, 1])
+        assert a[0, 0] == 1.0
+        # The loop goes into a copy; the view is left as it was.
+        assert a is not view and view[0, 0] == 0.0
 
     def test_rows_sum_to_one_on_random_graphs(self):
         rng = np.random.default_rng(3)
@@ -156,7 +161,9 @@ class TestRandomWalk:
             a = rng.uniform(0.01, 1, size=(n, n))
             a = (a + a.T) / 2
             np.fill_diagonal(a, 0.0)
-            out = random_walk_matrix(a)
+            affinity, d = affinity_and_degrees(a)
+            assert affinity is a
+            out = affinity / d[:, None]
             np.testing.assert_allclose(out.sum(axis=1), np.ones(n), atol=1e-12)
             assert np.all(out >= 0)
 

@@ -1,5 +1,6 @@
-"""Memory of the n-by-n layers: loading, solving and writing hold the views
-plus at most one more n-by-n array's worth.
+"""Memory of the n-by-n layers: loading, matrix-free solving and writing
+hold the views plus at most one more n-by-n array's worth, and a dense
+solve adds each view's operator into one sum as it is built.
 
 Peaks are measured with tracemalloc, which numpy reports its array
 buffers to, as bytes allocated above what was held before the call.
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgehd.graph import load_multiview, save_matrix_csv, save_multiview
+from mvgehd.graph import MultiViewGraph, load_multiview, save_matrix_csv, save_multiview
 from mvgehd.solver import EmbedConfig, solve
 from mvgehd.synth import PlantedSpec, generate_multiview
 
@@ -52,6 +53,24 @@ def test_solve_holds_at_most_one_view_beyond_its_inputs(graph):
     (_, _, trace), peak = peak_above_start(lambda: solve(graph, config))
     assert trace.iterations == 3
     assert peak <= VIEW_BYTES
+
+
+def test_dense_solve_sums_operators_in_one_buffer(graph):
+    # Node 7 isolated in every view, given a self-loop: the union graph is
+    # disconnected, so every eigen-step runs dense on n-by-n operators.
+    views = []
+    for v in graph.views:
+        a = np.array(v)
+        a[7, :] = a[:, 7] = 0.0
+        views.append(a)
+    isolated = MultiViewGraph(views=tuple(views))
+    config = EmbedConfig(k=5, max_iters=2, isolated_policy="self_loop")
+    solve(isolated, config)
+    (_, _, trace), peak = peak_above_start(lambda: solve(isolated, config))
+    assert trace.iterations == 2
+    # About 7.1 views' worth here; holding all m operators before summing
+    # them took 9.2.
+    assert peak <= 8 * VIEW_BYTES
 
 
 def test_load_holds_the_views_plus_one(graph, tmp_path):

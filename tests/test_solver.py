@@ -181,6 +181,32 @@ class TestViewDiagonal:
                                    rtol=0, atol=1e-12)
 
 
+class TestViewApply:
+    """ViewOperator.apply: M^T S M X, checked against laplacian(s) @ X."""
+
+    @pytest.mark.parametrize("case", ["random", "partial_loop", "isolated", "asymmetric"])
+    def test_matches_dense_operator(self, case):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            a = random_affinity(rng, 9)
+            policy = "error"
+            if case == "partial_loop":
+                a[2, 2] = 0.7
+            elif case == "isolated":
+                a[2, :] = a[:, 2] = 0.0
+                policy = "self_loop"
+            elif case == "asymmetric":
+                # Validation lets a one-directional edge through within
+                # SYMMETRY_TOL; only W^T = (A / d)^T, not W, applies it right.
+                a[3, 5], a[5, 3] = 0.0, SYMMETRY_TOL / 2
+                a = MultiViewGraph(views=(a,)).views[0]
+            op = ViewOperator.from_view(a, isolated_policy=policy)
+            s = rng.uniform(0.1, 2.0, size=9)
+            x = rng.normal(size=(9, 4))
+            np.testing.assert_allclose(op.apply(x, s), op.laplacian(s) @ x,
+                                       rtol=0, atol=1e-12)
+
+
 class TestCombinedLaplacian:
     def test_single_view_identity(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -230,6 +256,12 @@ class TestEmbeddingObjective:
     def test_broken_psd_raises(self):
         with pytest.raises(ValueError, match="semidefinite"):
             embedding_objective(np.eye(2), [np.diag([-1.0, 0.0])])
+
+
+class TestEmbedConfig:
+    def test_rejects_unknown_isolated_policy(self):
+        with pytest.raises(ValueError, match="isolated_policy"):
+            EmbedConfig(k=2, isolated_policy="drop")
 
 
 class TestSolve:
