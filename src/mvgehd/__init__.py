@@ -39,7 +39,6 @@ from .synth import (
     PlantedTruth,
     generate_cohort,
     generate_multiview,
-    save_truth,
 )
 
 __version__ = "0.1.0"
@@ -51,6 +50,5 @@ __all__ = [
     "cluster_subjects", "evaluate", "generate_cohort", "generate_multiview",
     "hub_report", "hub_scores", "kmeans", "load_matrix_csv",
     "load_multiview", "nmi", "node_clusters", "pairwise_similarity",
-    "remove_hub_edges", "save_matrix_csv", "save_multiview", "save_truth",
-    "solve",
+    "remove_hub_edges", "save_matrix_csv", "save_multiview", "solve",
 ]

@@ -31,6 +31,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -42,9 +43,9 @@ from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, s
 from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, save_matrix_csv,
                     save_multiview)
 from .hubs import HUB_METHODS, betweenness, hub_report, hub_scores
-from .metrics import evaluate
+from .metrics import as_labels, evaluate
 from .solver import EmbedConfig, solve
-from .synth import PlantedSpec, generate_cohort, generate_multiview, save_truth
+from .synth import PlantedSpec, generate_cohort, generate_multiview
 
 
 def _worker_count() -> int:
@@ -62,16 +63,17 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_config(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(config.items())}
+def _plain(obj):
+    """JSON form of numpy arrays and scalars, and of paths; TypeError otherwise."""
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else os.fspath(obj)
 
 
 def _write_json(path, payload: dict, args: argparse.Namespace) -> None:
+    """Write every JSON result: `payload` plus the run config and version."""
     payload = dict(payload)
-    payload["config"] = _run_config(args)
+    payload["config"] = {k: v for k, v in vars(args).items() if k != "func"}
     payload["version"] = __version__
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
 
 
 def _amend_json(path, args: argparse.Namespace) -> None:
@@ -83,7 +85,7 @@ def _read_labels(path) -> np.ndarray:
     obj = json.loads(Path(path).read_text())
     if "labels" not in obj:
         raise ValueError(f"{path} has no 'labels' field")
-    return np.asarray(obj["labels"], dtype=np.int64)
+    return as_labels(obj["labels"])
 
 
 def _parse_weights(text: str | None):
@@ -94,7 +96,7 @@ def _parse_weights(text: str | None):
 
 def _parse_quality(text: str | None):
     if text is None:
-        return 1.0
+        return PlantedSpec.view_quality
     parts = tuple(float(x) for x in text.split(","))
     return parts[0] if len(parts) == 1 else parts
 
@@ -171,21 +173,21 @@ def cmd_generate(args: argparse.Namespace) -> None:
     spec_a = _spec_from_args(args)
     if args.cohort is None:
         graph, truth = generate_multiview(spec_a)
-        manifest = save_multiview(graph, out)
-        save_truth(truth, out / "truth.json")
-        _amend_json(manifest, args)
-        _amend_json(out / "truth.json", args)
+        _amend_json(save_multiview(graph, out), args)
+        _write_json(out / "truth.json", asdict(truth), args)
         return
-    count_a, count_b = (int(x) for x in args.cohort.split(","))
+    try:
+        count_a, count_b = (int(x) for x in args.cohort.split(","))
+    except ValueError:
+        raise ValueError(f"--cohort must be NA,NB (two integers), got {args.cohort!r}") from None
     spec_b = _spec_from_args(args, side="b")
     subjects, labels = generate_cohort(spec_a, spec_b, count_a, count_b)
     manifest_paths = []
     for i, graph in enumerate(subjects):
         manifest = save_multiview(graph, out / f"subject_{i:03d}")
         manifest_paths.append(str(manifest.relative_to(out)))
-    _write_json(out / "cohort.json",
-                {"subjects": manifest_paths, "labels": [int(x) for x in labels]}, args)
-    _write_json(out / "cohort_truth.json", {"labels": [int(x) for x in labels]}, args)
+    _write_json(out / "cohort.json", {"subjects": manifest_paths, "labels": labels}, args)
+    _write_json(out / "cohort_truth.json", {"labels": labels}, args)
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
@@ -195,13 +197,8 @@ def cmd_embed(args: argparse.Namespace) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(embedding, out / "embedding.csv")
-    _write_json(out / "weights.json", {"alphas": [float(a) for a in alphas]}, args)
-    _write_json(out / "trace.json", {
-        "objectives": [float(x) for x in trace.objectives],
-        "alpha_history": [[float(a) for a in row] for row in trace.alpha_history],
-        "iterations": trace.iterations,
-        "converged": trace.converged,
-    }, args)
+    _write_json(out / "weights.json", {"alphas": alphas}, args)
+    _write_json(out / "trace.json", asdict(trace), args)
 
 
 def cmd_hubs(args: argparse.Namespace) -> None:
@@ -220,14 +217,14 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         scores = betweenness(graph.views[args.view])
     report = hub_report(scores, args.method, top=args.hub_top,
                         threshold=args.hub_threshold)
-    _write_json(args.out, json.loads(report.to_json()), args)
+    _write_json(args.out, asdict(report), args)
 
 
 def cmd_cluster_nodes(args: argparse.Namespace) -> None:
     embedding = load_matrix_csv(args.embedding)
     labels = node_clusters(embedding, args.k,
                            KMeansConfig(restarts=args.restarts, seed=args.seed))
-    _write_json(args.out, {"k": args.k, "labels": [int(x) for x in labels]}, args)
+    _write_json(args.out, {"k": args.k, "labels": labels}, args)
 
 
 def _cohort_manifests(cohort_path) -> list:
@@ -246,12 +243,12 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
         embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
     labels = cluster_subjects(embeddings, args.k,
                               KMeansConfig(restarts=args.restarts, seed=args.seed))
-    _write_json(args.out, {"k": args.k, "labels": [int(x) for x in labels]}, args)
+    _write_json(args.out, {"k": args.k, "labels": labels}, args)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:
     result = evaluate(_read_labels(args.pred), _read_labels(args.truth))
-    _write_json(args.out, json.loads(result.to_json()), args)
+    _write_json(args.out, asdict(result), args)
 
 
 def _score_k(k: int, embeddings, truth, repeats: int, restarts: int,
@@ -303,13 +300,15 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
 
 
 def _add_embed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=1e-4,
-                   help="residual smoothing constant (default 1e-4)")
-    p.add_argument("--max-iters", type=int, default=100, help="iteration cap")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="relative objective-change stopping threshold")
+    p.add_argument("--epsilon", type=float, default=EmbedConfig.epsilon,
+                   help="residual smoothing constant (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=EmbedConfig.max_iters,
+                   help="iteration cap (default %(default)s)")
+    p.add_argument("--tol", type=float, default=EmbedConfig.rel_tol,
+                   help="relative objective-change stopping threshold (default %(default)s)")
     p.add_argument("--isolated-policy", choices=ISOLATED_POLICIES,
-                   default="error", help="zero-degree node handling")
+                   default=EmbedConfig.isolated_policy,
+                   help="zero-degree node handling (default %(default)s)")
     p.add_argument("--weights", type=str, default=None,
                    help="comma list of fixed view weights (disables auto-weighting)")
 
@@ -327,13 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters", type=int, default=2)
     p.add_argument("--hubs", type=int, default=0)
     p.add_argument("--views", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-intra", type=float, default=0.9)
-    p.add_argument("--p-inter", type=float, default=0.01)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=PlantedSpec.seed)
+    p.add_argument("--p-intra", type=float, default=PlantedSpec.p_intra)
+    p.add_argument("--p-inter", type=float, default=PlantedSpec.p_inter)
+    p.add_argument("--noise", type=float, default=PlantedSpec.noise_sigma)
     p.add_argument("--view-quality", type=str, default=None,
-                   help="comma list of per-view structure strengths in [0,1]")
-    p.add_argument("--hub-spread", type=float, default=0.7)
+                   help="comma list of per-view structure strengths in [0,1] "
+                        f"(default {PlantedSpec.view_quality} for every view)")
+    p.add_argument("--hub-spread", type=float, default=PlantedSpec.hub_spread)
     p.add_argument("--cohort", type=str, default=None, metavar="NA,NB",
                    help="generate NA+NB subjects instead of a single graph")
     for name, typ in (("clusters", int), ("hubs", int), ("seed", int),
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster-nodes", help="k-means on embedding rows")
     p.add_argument("--embedding", type=Path, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_cluster_nodes)
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cohort JSON listing subject manifests")
     p.add_argument("--embed-k", type=int, required=True, help="per-subject embedding dimension")
     p.add_argument("--k", type=int, default=2, help="number of subject clusters")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
     _add_embed_flags(p)
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=15)
     p.add_argument("--repeats", type=int, default=20,
                    help="clustering repetitions per k (reseeding k-means)")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=int, default=KMeansConfig.restarts)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
     _add_embed_flags(p)

@@ -245,7 +245,9 @@ def load_multiview(manifest_path) -> MultiViewGraph:
         view.setflags(write=False)
         views.append(view)
     node_names = manifest.get("node_names")
-    return MultiViewGraph(views=tuple(views), node_names=tuple(node_names) if node_names else None)
+    if node_names is not None and not isinstance(node_names, list):
+        raise GraphValidationError(f"manifest 'node_names' must be a list, got {node_names!r}")
+    return MultiViewGraph(views=tuple(views), node_names=node_names)
 
 
 def save_multiview(graph: MultiViewGraph, out_dir) -> Path:

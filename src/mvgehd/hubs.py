@@ -18,7 +18,6 @@ n-by-n array work; memory is O(n^2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +39,6 @@ class HubReport:
     scores: np.ndarray
     ranking: np.ndarray
     selected: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "method": self.method,
-            "scores": [float(s) for s in self.scores],
-            "ranking": [int(i) for i in self.ranking],
-            "selected": [int(i) for i in self.selected],
-        }, sort_keys=True)
 
 
 def hub_scores(embedding: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ zero-entropy case defined as 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,13 +24,6 @@ class EvalResult:
     acc: float
     nmi: float
     mapping: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "acc": self.acc,
-            "nmi": self.nmi,
-            "mapping": [int(j) for j in self.mapping],
-        }, sort_keys=True)
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -78,17 +70,27 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _check_labels(pred, truth):
-    p = np.asarray(pred, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
-    if p.ndim != 1 or t.ndim != 1:
+def as_labels(labels) -> np.ndarray:
+    """`labels` as a 1-D int64 array; ValueError unless all are nonnegative whole numbers."""
+    a = np.asarray(labels)
+    if a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.round(a))):
+        a = a.astype(np.int64)
+    if a.dtype.kind not in "biu":
+        raise ValueError("labels must be whole numbers")
+    a = a.astype(np.int64, copy=False)
+    if a.ndim != 1:
         raise ValueError("label arrays must be one-dimensional")
+    if a.size and a.min() < 0:
+        raise ValueError("labels must be nonnegative integers")
+    return a
+
+
+def _check_labels(pred, truth):
+    p, t = as_labels(pred), as_labels(truth)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} truths")
     if p.size == 0:
         raise ValueError("label arrays must be non-empty")
-    if p.min() < 0 or t.min() < 0:
-        raise ValueError("labels must be nonnegative integers")
     return p, t
 
 

@@ -27,8 +27,11 @@ One solver iteration, from the current embedding F:
      weights;
   4. refresh F as the eigenvectors of the 2nd through (k+1)-th smallest
      eigenvalues of the weighted sum of the per-view operators. M
-     annihilates vectors that are constant on connected components, so the
-     skipped bottom eigenvector is the uninformative constant direction.
+     annihilates vectors that are constant on each connected component of
+     the union graph (see below). If that graph is connected, the skipped
+     bottom eigenvector is the uninformative constant direction; if not,
+     only one component indicator is skipped and the others take
+     embedding columns.
 
 Steps 2 and 3 take tangents of concave functions (sqrt(x + epsilon) in
 x = ||p_j||^2, and sqrt in h_v), so sum_v alpha_v Tr(F^T L_v F) plus a

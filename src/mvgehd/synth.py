@@ -20,9 +20,7 @@ drawn from the same spec.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -175,10 +173,3 @@ def generate_cohort(spec_a: PlantedSpec, spec_b: PlantedSpec,
                              np.ones(count_b, dtype=np.int64)])
     return subjects, labels
 
-
-def save_truth(truth: PlantedTruth, path) -> None:
-    """Write ground truth as JSON {"labels": [...], "hub_set": [...]}."""
-    Path(path).write_text(json.dumps({
-        "labels": [int(x) for x in truth.labels],
-        "hub_set": [int(x) for x in truth.hub_set],
-    }, sort_keys=True) + "\n")

@@ -1,5 +1,6 @@
 """End-to-end command-line flows in temporary directories."""
 
+import dataclasses
 import json
 import os
 
@@ -7,8 +8,11 @@ import numpy as np
 import pytest
 
 import mvgehd.cli
-from mvgehd.cli import _worker_count, main
+from mvgehd.cli import _embed_config, _spec_from_args, _worker_count, build_parser, main
+from mvgehd.clustering import KMeansConfig
 from mvgehd.graph import load_matrix_csv, save_matrix_csv
+from mvgehd.solver import EmbedConfig
+from mvgehd.synth import PlantedSpec, planted_layout
 
 
 def run(*argv):
@@ -22,6 +26,13 @@ def read(path):
 def without_config(path):
     obj = read(path)
     del obj["config"]
+    return obj
+
+
+def result_fields(path):
+    """A JSON result without the run config and version every result carries."""
+    obj = without_config(path)
+    assert obj.pop("version") == mvgehd.__version__
     return obj
 
 
@@ -41,6 +52,11 @@ class TestGenerate:
         truth = read(generated / "truth.json")
         assert len(truth["labels"]) == 40
         assert len(truth["hub_set"]) == 3
+
+    def test_truth_file_contents(self, generated):
+        truth = planted_layout(PlantedSpec(n=40, clusters=3, hubs=3, views=2, seed=5))
+        assert result_fields(generated / "truth.json") == {
+            "labels": truth.labels.tolist(), "hub_set": truth.hub_set.tolist()}
 
     def test_embeds_config_and_version(self, generated):
         for name in ("manifest.json", "truth.json"):
@@ -63,6 +79,15 @@ class TestGenerate:
         assert cohort["labels"] == [0, 0, 0, 1, 1]
         assert read(out / "cohort_truth.json")["labels"] == [0, 0, 0, 1, 1]
         assert (out / cohort["subjects"][0]).exists()
+
+    @pytest.mark.parametrize("cohort", ["20", "20,20,5", "a,b"])
+    def test_malformed_cohort(self, tmp_path, capsys, cohort):
+        out = tmp_path / "c"
+        assert run("generate", "--out", out, "--n", 20, "--cohort", cohort) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"--cohort must be NA,NB (two integers), got {cohort!r}"}
+        assert not out.exists()
 
 
 class TestEmbed:
@@ -119,6 +144,14 @@ class TestHubsCommand:
         assert len(report["selected"]) == 3
         assert sorted(report["ranking"]) == list(range(40))
 
+    def test_report_file_contents(self, tmp_path):
+        embedding = tmp_path / "embedding.csv"
+        save_matrix_csv(np.array([[0.4], [0.1], [0.9]]), embedding)
+        out = tmp_path / "hubs.json"
+        assert run("hubs", "--embedding", embedding, "--hub-top", 2, "--out", out) == 0
+        assert result_fields(out) == {"method": "row_norm", "scores": [0.4, 0.1, 0.9],
+                                      "ranking": [1, 0, 2], "selected": [0, 1]}
+
     def test_requires_selection_strategy(self, generated, tmp_path, capsys):
         emb = tmp_path / "emb"
         run("embed", "--manifest", generated / "manifest.json", "--k", 2, "--out", emb)
@@ -154,6 +187,25 @@ class TestClusterAndEvaluate:
                    generated / "truth.json", "--out", eval_path) == 0
         result = read(eval_path)
         assert result["acc"] >= 0.9 and 0.0 <= result["nmi"] <= 1.0
+
+    def test_eval_file_contents(self, tmp_path):
+        (tmp_path / "pred.json").write_text(json.dumps({"labels": [0, 0, 1]}))
+        (tmp_path / "truth.json").write_text(json.dumps({"labels": [1, 1, 0]}))
+        out = tmp_path / "eval.json"
+        assert run("evaluate", "--pred", tmp_path / "pred.json",
+                   "--truth", tmp_path / "truth.json", "--out", out) == 0
+        assert result_fields(out) == {"acc": 1.0, "nmi": 1.0, "mapping": [1, 0]}
+
+    def test_rejects_labels_that_are_not_whole_numbers(self, tmp_path, capsys):
+        (tmp_path / "pred.json").write_text(json.dumps({"labels": [1.7, 0.2, 1.0]}))
+        (tmp_path / "truth.json").write_text(json.dumps({"labels": [1, 0, 1]}))
+        out = tmp_path / "eval.json"
+        code = run("evaluate", "--pred", tmp_path / "pred.json",
+                   "--truth", tmp_path / "truth.json", "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "whole numbers" in err["message"]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +363,45 @@ class TestWorkerCount:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _worker_count() == 3
+
+
+REQUIRED_FLAGS = {
+    "generate": ["--out", "g", "--n", "10"],
+    "embed": ["--manifest", "m.json", "--k", "2", "--out", "e"],
+    "cluster-nodes": ["--embedding", "e.csv", "--k", "2", "--out", "l.json"],
+    "cluster-subjects": ["--cohort", "c.json", "--embed-k", "2", "--out", "s.json"],
+    "sweep-k": ["--cohort", "c.json", "--truth", "t.json", "--out", "s.json"],
+}
+EMBEDDING_COMMANDS = ("embed", "cluster-subjects", "sweep-k")
+OWNED_DEFAULTS = [  # (command, argparse dest, owning dataclass, field)
+    *[("generate", dest, PlantedSpec, field) for dest, field in (
+        ("seed", "seed"), ("p_intra", "p_intra"), ("p_inter", "p_inter"),
+        ("noise", "noise_sigma"), ("hub_spread", "hub_spread"))],
+    *[(command, dest, EmbedConfig, field) for command in EMBEDDING_COMMANDS
+      for dest, field in (("epsilon", "epsilon"), ("max_iters", "max_iters"),
+                          ("tol", "rel_tol"), ("isolated_policy", "isolated_policy"))],
+    *[(command, "restarts", KMeansConfig, "restarts")
+      for command in ("cluster-nodes", "cluster-subjects", "sweep-k")],
+]
+
+
+def parse_defaults(command):
+    return build_parser().parse_args([command, *REQUIRED_FLAGS[command]])
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command, dest, owner, field", OWNED_DEFAULTS,
+                             ids=[f"{c}-{d}" for c, d, _, _ in OWNED_DEFAULTS])
+    def test_flag_default_is_read_from_its_dataclass(self, monkeypatch, command, dest,
+                                                     owner, field):
+        default = {f.name: f.default for f in dataclasses.fields(owner)}[field]
+        assert getattr(parse_defaults(command), dest) == default
+        moved = object()
+        monkeypatch.setattr(owner, field, moved)
+        assert getattr(parse_defaults(command), dest) is moved
+
+    def test_default_flags_build_default_configs(self):
+        spec = _spec_from_args(parse_defaults("generate"))
+        assert spec == PlantedSpec(n=10, clusters=2, hubs=0, views=2)
+        for command in EMBEDDING_COMMANDS:
+            assert _embed_config(parse_defaults(command), k=3) == EmbedConfig(k=3)

@@ -197,6 +197,13 @@ class TestManifestIO:
         g = load_multiview(path)
         assert g.node_names == ("a", "b")
 
+    @pytest.mark.parametrize("names", ["abc", [], {"a": 1}, 3],
+                             ids=["string", "empty", "object", "number"])
+    def test_node_names_must_be_a_full_list(self, tmp_path, names):
+        path = write_manifest(tmp_path, [np.ones((3, 3)) - np.eye(3)], node_names=names)
+        with pytest.raises(GraphValidationError, match="node"):
+            load_multiview(path)
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 1, size=(7, 7))

@@ -1,7 +1,5 @@
 """Hub scoring, selection, betweenness, and hub-edge removal."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -265,9 +263,3 @@ class TestHubReport:
         rep = hub_report(rng.uniform(size=12), "row_norm", top=3)
         assert sorted(rep.ranking) == list(range(12))
         assert set(rep.selected) <= set(rep.ranking)
-
-    def test_json_round_trip(self):
-        rep = hub_report(np.array([0.4, 0.1, 0.9]), "row_norm", top=2)
-        back = json.loads(rep.to_json())
-        assert back == {"method": "row_norm", "scores": [0.4, 0.1, 0.9],
-                        "ranking": [1, 0, 2], "selected": [0, 1]}

@@ -164,7 +164,16 @@ class TestEvaluate:
         res = evaluate(pred, truth)
         assert sorted(res.mapping) == list(range(len(res.mapping)))
 
-    def test_json_fields(self):
-        import json
-        obj = json.loads(evaluate([0, 1], [1, 0]).to_json())
-        assert set(obj) == {"acc", "nmi", "mapping"}
+    def test_rejects_labels_that_are_not_whole_numbers(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            evaluate([1.7, 0.2, 1.0], [1, 0, 1])
+        for bad in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0], ["0", "1", "1"]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                evaluate([0, 1, 1], bad)
+
+    def test_integral_floats_equal_integers(self):
+        pred, truth = [0, 2, 1, 1, 2], [1, 1, 0, 0, 2]
+        as_ints = evaluate(pred, truth)
+        as_floats = evaluate(np.array(pred, dtype=float), [float(t) for t in truth])
+        assert (as_floats.acc, as_floats.nmi) == (as_ints.acc, as_ints.nmi)
+        np.testing.assert_array_equal(as_floats.mapping, as_ints.mapping)

@@ -1,7 +1,5 @@
 """Planted-structure generator: shapes, determinism, separation, hub spans."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from mvgehd.synth import (
     generate_multiview,
     hub_spans,
     planted_layout,
-    save_truth,
 )
 
 
@@ -143,10 +140,3 @@ class TestGenerateCohort:
         with pytest.raises(ValueError):
             generate_cohort(a, c, 1, 1)
 
-
-class TestTruthIO:
-    def test_round_trip(self, tmp_path):
-        _, truth = generate_multiview(PlantedSpec(n=12, clusters=3, hubs=2, views=1, seed=4))
-        save_truth(truth, tmp_path / "truth.json")
-        back = json.loads((tmp_path / "truth.json").read_text())
-        assert back == {"labels": truth.labels.tolist(), "hub_set": truth.hub_set.tolist()}
