@@ -40,8 +40,8 @@ import numpy as np
 
 from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
-from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, save_matrix_csv,
-                    save_multiview)
+from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_view,
+                    read_manifest, save_matrix_csv, save_multiview)
 from .hubs import HUB_METHODS, betweenness, hub_report, hub_scores
 from .metrics import as_labels, evaluate
 from .solver import EmbedConfig, solve
@@ -211,10 +211,12 @@ def cmd_hubs(args: argparse.Namespace) -> None:
     else:
         if args.manifest is None:
             raise ValueError("--method betweenness needs --manifest")
-        graph = load_multiview(args.manifest)
-        if not 0 <= args.view < graph.m:
-            raise ValueError(f"--view {args.view} out of range for {graph.m} views")
-        scores = betweenness(graph.views[args.view])
+        # Only the scored view is read, so the other views' files are not
+        # parsed or checked.
+        paths, transform, _ = read_manifest(args.manifest)
+        if not 0 <= args.view < len(paths):
+            raise ValueError(f"--view {args.view} out of range for {len(paths)} views")
+        scores = betweenness(load_view(paths[args.view], transform))
     report = hub_report(scores, args.method, top=args.hub_top,
                         threshold=args.hub_threshold)
     _write_json(args.out, asdict(report), args)

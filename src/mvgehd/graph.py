@@ -150,6 +150,9 @@ class MultiViewGraph:
                     f"view {i} has {v.shape[0]} nodes, expected {n} (dimension mismatch)")
         object.__setattr__(self, "views", validated)
         if self.node_names is not None:
+            if isinstance(self.node_names, str):
+                raise GraphValidationError(
+                    f"node_names must be a sequence of names, got the string {self.node_names!r}")
             names = tuple(str(s) for s in self.node_names)
             if len(names) != n:
                 raise GraphValidationError(
@@ -216,12 +219,9 @@ def load_matrix_csv(path) -> np.ndarray:
     return arr
 
 
-def load_multiview(manifest_path) -> MultiViewGraph:
-    """Load a multi-view graph from a JSON manifest.
-
-    The manifest's `transform` (default `reject`) decides how negative
-    entries in the referenced CSV matrices are handled before validation.
-    """
+def read_manifest(manifest_path) -> tuple[list, str, list | None]:
+    """A manifest's view paths, resolved against its directory, its
+    transform (default `reject`) and its node names (None if absent)."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -232,22 +232,41 @@ def load_multiview(manifest_path) -> MultiViewGraph:
     paths = manifest["views"]
     if not isinstance(paths, list) or len(paths) < 1:
         raise GraphValidationError("manifest 'views' must list at least one matrix file")
-    transform = manifest.get("transform", "reject")
-    base = manifest_path.parent
-    views = []
-    for rel in paths:
-        raw = load_matrix_csv(base / rel)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise GraphValidationError(f"matrix file {rel} is not square: shape {raw.shape}")
-        view = apply_transform(raw, transform)
-        # Nothing else holds the parsed array, so once read-only it becomes
-        # the graph's view without a copy (see validate_affinity).
-        view.setflags(write=False)
-        views.append(view)
     node_names = manifest.get("node_names")
     if node_names is not None and not isinstance(node_names, list):
         raise GraphValidationError(f"manifest 'node_names' must be a list, got {node_names!r}")
-    return MultiViewGraph(views=tuple(views), node_names=node_names)
+    base = manifest_path.parent
+    return [base / rel for rel in paths], manifest.get("transform", "reject"), node_names
+
+
+def _read_view(path, transform: str) -> np.ndarray:
+    """Parse one view file, check it is square and apply `transform`.
+
+    The result is read-only and held by nothing else, so validate_affinity
+    checks it without a copy.
+    """
+    view = load_matrix_csv(path)
+    if view.ndim != 2 or view.shape[0] != view.shape[1]:
+        raise GraphValidationError(f"matrix file {path} is not square: shape {view.shape}")
+    view = apply_transform(view, transform)
+    view.setflags(write=False)
+    return view
+
+
+def load_view(path, transform: str) -> np.ndarray:
+    """One view file, read and validated as load_multiview reads each view."""
+    return validate_affinity(_read_view(path, transform))
+
+
+def load_multiview(manifest_path) -> MultiViewGraph:
+    """Load a multi-view graph from a JSON manifest.
+
+    The manifest's `transform` (default `reject`) decides how negative
+    entries in the referenced CSV matrices are handled before validation.
+    """
+    paths, transform, node_names = read_manifest(manifest_path)
+    views = tuple(_read_view(path, transform) for path in paths)
+    return MultiViewGraph(views=views, node_names=node_names)
 
 
 def save_multiview(graph: MultiViewGraph, out_dir) -> Path:

@@ -11,9 +11,14 @@ handled at once in array code. `scipy.sparse.csgraph.dijkstra` gives the
 all-pairs distances; each source settles its nodes in a stable argsort of
 its distance row. A forward pass over the settle ranks sums the path
 counts of each node's shortest-path predecessors, and a backward pass over
-the ranks in reverse pushes dependencies back to them, recomputing the
-predecessor masks rather than storing them. Time is O(n^3) in n steps of
-n-by-n array work; memory is O(n^2).
+the ranks in reverse pushes dependencies back to them. The forward pass
+builds each rank's n-by-n predecessor mask once. A rank whose mask holds
+at most n entries (one predecessor per source on average), which is every
+rank of a graph with generic weights, keeps them as index lists, and both
+passes work on those entries only; a rank with more (tied routes, as in
+binary views) is summed from the dense mask and rebuilds it in the
+backward pass. The lists hold at most n(n-1) entries, so time is O(n^3)
+in n steps of at most n-by-n array work and memory stays O(n^2).
 """
 
 from __future__ import annotations
@@ -111,19 +116,30 @@ def betweenness(view: np.ndarray) -> np.ndarray:
     dist[np.isinf(dist)] = np.nan
     order = np.argsort(dist, axis=1, kind="stable")
     into = np.ascontiguousarray(length.T)  # into[w, v] = length of edge v -> w
+    del length
     src = np.arange(n)
 
-    def predecessors(rank):
-        # pred[s, v]: edge v -> w ends a shortest s-w path, w settled at rank.
-        w = order[:, rank]
-        return w, dist + into[w] == dist[src, w][:, None]
+    def predecessors(w):
+        # pred[s, v]: edge v -> w[s] ends a shortest s-w[s] path.
+        through = into[w]
+        through += dist
+        return through == dist[src, w][:, None]
 
-    # Forward pass: path counts sigma[s, w], one settle rank at a time.
+    # Forward pass: path counts sigma[s, w], one settle rank at a time. A
+    # rank with at most n (source, predecessor) entries keeps them as index
+    # lists for both passes; others (ties) rebuild the mask in the backward
+    # pass. Path counts are whole numbers, exact in any summation order.
     sigma = np.zeros((n, n))
     np.fill_diagonal(sigma, 1.0)
+    stored = [None] * n
     for rank in range(1, n):
-        w, pred = predecessors(rank)
-        sigma[src, w] = np.where(pred, sigma, 0.0).sum(axis=1)
+        w = order[:, rank]
+        pred = predecessors(w)
+        if np.count_nonzero(pred) <= n:
+            s, v = stored[rank] = np.divmod(np.flatnonzero(pred), n)
+            sigma[src, w] = np.bincount(s, weights=sigma[s, v], minlength=n)
+        else:
+            sigma[src, w] = np.where(pred, sigma, 0.0).sum(axis=1)
     # Backward pass: dependencies delta[s, v], pushed from each node to its
     # predecessors in reverse settle order. sigma[s, w] is 0 only where w is
     # unreachable, and then pred is empty, so the shares divided by it are
@@ -131,9 +147,14 @@ def betweenness(view: np.ndarray) -> np.ndarray:
     delta = np.zeros((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rank in range(n - 1, 0, -1):
-            w, pred = predecessors(rank)
-            share = sigma / sigma[src, w][:, None] * (1.0 + delta[src, w])[:, None]
-            delta += np.where(pred, share, 0.0)
+            w = order[:, rank]
+            if stored[rank] is not None:
+                s, v = stored[rank]
+                ws = w[s]
+                delta[s, v] += sigma[s, v] / sigma[s, ws] * (1.0 + delta[s, ws])
+            else:
+                share = sigma / sigma[src, w][:, None] * (1.0 + delta[src, w])[:, None]
+                delta += np.where(predecessors(w), share, 0.0)
     np.fill_diagonal(delta, 0.0)
     # Each unordered pair was counted from both endpoints.
     return delta.sum(axis=0) / 2.0

@@ -1,16 +1,17 @@
 """Dense symmetric linear algebra primitives used by the embedding solver.
 
-The eigen-solves here go through LAPACK's dense symmetric drivers, by way
-of scipy.linalg, which the first solve imports (importing this module does
-not). They serve every eigen-step of the graphs the solver's matrix-free
-rule leaves out (below n = 200, or with a disconnected union graph), and
-redo any matrix-free step that misses its residual check; the solver runs
-the steps of other graphs matrix-free, by LOBPCG, and checks those against
-this dense path (see mvgehd.solver).
+The eigen-solves here call LAPACK's dense symmetric driver dsyevr, by way
+of scipy.linalg.lapack, which the first solve imports (importing this
+module does not). They serve every eigen-step of the graphs the solver's
+matrix-free rule leaves out (below n = 200, or with a disconnected union
+graph), and redo any matrix-free step that misses its residual check; the
+solver runs the steps of other graphs matrix-free, by LOBPCG, and checks
+those against this dense path (see mvgehd.solver).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,13 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
 
     The input must be symmetric within ASYMMETRY_TOL (scaled by the matrix
     magnitude); it is symmetrized as (M + M^T)/2 before the solve so that
-    floating-point assembly drift cannot leak into the eigenproblem.
+    floating-point assembly drift cannot leak into the eigenproblem. The
+    solve calls LAPACK's dsyevr directly, the driver scipy.linalg.eigh
+    picks for an index subset, with its workspace sizes cached per order,
+    so each call skips eigh's driver lookup and workspace query. A LAPACK
+    failure raises numpy.linalg.LinAlgError.
     """
-    import scipy.linalg
+    from scipy.linalg.lapack import dsyevr
 
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -65,11 +70,30 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
         raise ValueError(
             f"matrix asymmetric beyond tolerance: max |m_ij - m_ji| = {asym:g}")
     sym = (m + m.T) / 2.0
-    eigenvalues, eigenvectors = scipy.linalg.eigh(sym, subset_by_index=(0, count - 1))
+    lwork, liwork = _syevr_workspace(n)
+    # sym equals its transpose bit for bit, and the transpose is in the
+    # column-major order LAPACK works in, so LAPACK overwrites it in place
+    # instead of copying it.
+    eigenvalues, eigenvectors, found, _, info = dsyevr(
+        sym.T, range="I", il=1, iu=count, lower=1, lwork=lwork, liwork=liwork,
+        overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
     return SymEigenResult(
-        eigenvalues=eigenvalues,
-        eigenvectors=_fix_column_signs(eigenvectors),
+        eigenvalues=eigenvalues[:found],
+        eigenvectors=_fix_column_signs(eigenvectors[:, :found]),
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _syevr_workspace(n: int) -> tuple[int, int]:
+    """dsyevr's optimal (lwork, liwork) for order n, lower triangle."""
+    from scipy.linalg.lapack import dsyevr_lwork
+
+    work, iwork, info = dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr_lwork failed with info = {info}")
+    return int(work), int(iwork)
 
 
 def trace_form(basis: np.ndarray, operator: np.ndarray) -> float:

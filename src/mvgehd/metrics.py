@@ -107,25 +107,15 @@ def contingency_table(pred, truth) -> np.ndarray:
     return table
 
 
-def _best_match(pred, truth):
-    """Accuracy under the best label bijection, and that bijection."""
-    table = contingency_table(pred, truth)
+def _best_match(table: np.ndarray):
+    """Accuracy under the best label bijection of a contingency table, and
+    that bijection."""
     perm = hungarian(-table.astype(np.float64))
     return float(table[np.arange(table.shape[0]), perm].sum()) / float(table.sum()), perm
 
 
-def accuracy(pred, truth) -> float:
-    """Fraction of samples matched under the best label bijection."""
-    return _best_match(pred, truth)[0]
-
-
-def nmi(pred, truth) -> float:
-    """Mutual information over sqrt(H(pred) H(truth)); 0 if either entropy is 0.
-
-    Sums go through math.fsum (exactly rounded), so relabeling either side
-    permutes the terms without changing the result, bit for bit.
-    """
-    table = contingency_table(pred, truth)
+def _nmi(table: np.ndarray) -> float:
+    """NMI of a contingency table (see nmi)."""
     n = int(table.sum())
     # Marginals summed on the integer table are exact, so relabeling cannot
     # perturb them.
@@ -141,7 +131,22 @@ def nmi(pred, truth) -> float:
     return float(min(max(mi / math.sqrt(hp * ht), 0.0), 1.0))
 
 
+def accuracy(pred, truth) -> float:
+    """Fraction of samples matched under the best label bijection."""
+    return _best_match(contingency_table(pred, truth))[0]
+
+
+def nmi(pred, truth) -> float:
+    """Mutual information over sqrt(H(pred) H(truth)); 0 if either entropy is 0.
+
+    Sums go through math.fsum (exactly rounded), so relabeling either side
+    permutes the terms without changing the result, bit for bit.
+    """
+    return _nmi(contingency_table(pred, truth))
+
+
 def evaluate(pred, truth) -> EvalResult:
-    """Accuracy, NMI, and the accuracy label mapping, in one result."""
-    acc, perm = _best_match(pred, truth)
-    return EvalResult(acc=acc, nmi=nmi(pred, truth), mapping=perm)
+    """Accuracy, NMI, and the accuracy label mapping, from one contingency table."""
+    table = contingency_table(pred, truth)
+    acc, perm = _best_match(table)
+    return EvalResult(acc=acc, nmi=_nmi(table), mapping=perm)

@@ -144,6 +144,27 @@ class TestHubsCommand:
         assert len(report["selected"]) == 3
         assert sorted(report["ranking"]) == list(range(40))
 
+    def test_betweenness_reads_only_its_view(self, generated, tmp_path):
+        want = tmp_path / "want.json"
+        assert run("hubs", "--method", "betweenness", "--manifest",
+                   generated / "manifest.json", "--view", 0, "--hub-top", 3,
+                   "--out", want) == 0
+        (generated / "view_1.csv").write_text("not,a\nmatrix\n")
+        out = tmp_path / "bc.json"
+        assert run("hubs", "--method", "betweenness", "--manifest",
+                   generated / "manifest.json", "--view", 0, "--hub-top", 3,
+                   "--out", out) == 0
+        assert without_config(out) == without_config(want)
+
+    @pytest.mark.parametrize("view", [2, -1])
+    def test_betweenness_view_out_of_range(self, generated, tmp_path, capsys, view):
+        code = run("hubs", "--method", "betweenness", "--manifest",
+                   generated / "manifest.json", "--view", view, "--hub-top", 3,
+                   "--out", tmp_path / "bc.json")
+        assert code != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"--view {view} out of range for 2 views"}
+
     def test_report_file_contents(self, tmp_path):
         embedding = tmp_path / "embedding.csv"
         save_matrix_csv(np.array([[0.4], [0.1], [0.9]]), embedding)

@@ -102,6 +102,11 @@ class TestValidation:
         with pytest.raises(GraphValidationError):
             MultiViewGraph(views=(np.zeros((2, 2)),), node_names=("a",))
 
+    def test_string_node_names_rejected(self):
+        # A string would otherwise give one name per character.
+        with pytest.raises(GraphValidationError, match="string"):
+            MultiViewGraph(views=(np.zeros((3, 3)),), node_names="abc")
+
 
 class TestTransforms:
     def test_abs_flips_negative_entry(self):

@@ -48,6 +48,53 @@ def brute_betweenness(a):
     return scores
 
 
+def rank_recompute_betweenness(a):
+    """Reference: Brandes over settle ranks with every predecessor mask
+    built in the forward pass and rebuilt in the backward pass.
+
+    Returns the scores and each settle rank's number of (source,
+    predecessor) entries; betweenness keeps a rank's entries as index
+    lists when that number is at most n.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = a.shape[0]
+    edges = a > 0
+    length = np.full((n, n), np.inf)
+    length[edges] = 1.0 / a[edges]
+    dist = dijkstra(csr_matrix(np.where(edges, length, 0.0)), directed=True)
+    dist[np.isinf(dist)] = np.nan
+    order = np.argsort(dist, axis=1, kind="stable")
+    into = np.ascontiguousarray(length.T)
+    src = np.arange(n)
+
+    def predecessors(rank):
+        w = order[:, rank]
+        return w, dist + into[w] == dist[src, w][:, None]
+
+    counts = np.zeros(n, dtype=np.int64)
+    sigma = np.zeros((n, n))
+    np.fill_diagonal(sigma, 1.0)
+    for rank in range(1, n):
+        w, pred = predecessors(rank)
+        counts[rank] = np.count_nonzero(pred)
+        sigma[src, w] = np.where(pred, sigma, 0.0).sum(axis=1)
+    delta = np.zeros((n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rank in range(n - 1, 0, -1):
+            w, pred = predecessors(rank)
+            share = sigma / sigma[src, w][:, None] * (1.0 + delta[src, w])[:, None]
+            delta += np.where(pred, share, 0.0)
+    np.fill_diagonal(delta, 0.0)
+    return delta.sum(axis=0) / 2.0, counts
+
+
+def binary_graph(rng, n, density):
+    upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+    return (upper | upper.T) * 1.0
+
+
 def one_ended_tie_graph():
     """Path 0-1-2-3 costing 0.1, 0.2, 0.3 against edge 0-3 costing 0.6."""
     a = np.zeros((4, 4))
@@ -175,6 +222,60 @@ class TestBetweenness:
     @pytest.mark.parametrize("n", [1, 5])
     def test_edgeless_view_scores_zero(self, n):
         np.testing.assert_array_equal(betweenness(np.zeros((n, n))), np.zeros(n))
+
+
+class TestBetweennessMatchesRankRecompute:
+    """Bitwise equal to the reference on both kinds of settle rank: those
+    kept as index lists (at most n predecessor entries) and those rebuilt
+    as dense masks. Rank 1 always has at most n entries (the source is
+    the only predecessor of its nearest node), so only ranks from 2 on
+    tell the graphs apart."""
+
+    @staticmethod
+    def check(a, monkeypatch):
+        want, counts = rank_recompute_betweenness(a)
+        kept = counts[1:] <= a.shape[0]
+        # betweenness turns each kept rank's mask into index lists with
+        # one np.flatnonzero call, and makes no other.
+        listed = []
+        flatnonzero = np.flatnonzero
+
+        def spy(mask):
+            listed.append(mask.shape)
+            return flatnonzero(mask)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "flatnonzero", spy)
+            got = betweenness(a)
+        assert np.array_equal(got, want)
+        assert len(listed) == np.count_nonzero(kept)
+        return kept[1:]
+
+    def test_weighted_every_rank_kept(self, monkeypatch):
+        a = random_weighted_graph(np.random.default_rng(3), 60, density=0.3)
+        assert self.check(a, monkeypatch).all()
+
+    @pytest.mark.parametrize("density", [0.1, 0.5])
+    def test_binary_ties_rebuilt(self, monkeypatch, density):
+        kept = self.check(binary_graph(np.random.default_rng(4), 60, density), monkeypatch)
+        assert not kept.all()
+
+    def test_mixed_runs_both_branches(self, monkeypatch):
+        # Generic weights, with a binary block whose routes tie (dyadic
+        # sums are exact) among nodes 0..19.
+        rng = np.random.default_rng(5)
+        a = random_weighted_graph(rng, 60, density=0.3)
+        a[:20, :20] = binary_graph(rng, 20, 0.3) * 4.0
+        kept = self.check(a, monkeypatch)
+        assert kept.any() and not kept.all()
+
+    def test_disconnected(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        a = np.zeros((40, 40))
+        a[:25, :25] = random_weighted_graph(rng, 25, 0.3)
+        a[25:38, 25:38] = binary_graph(rng, 13, 0.4)
+        assert connected_components(a, directed=False)[0] == 4
+        self.check(a, monkeypatch)
 
 
 def networkx_betweenness(a):

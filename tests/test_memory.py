@@ -1,6 +1,7 @@
 """Memory of the n-by-n layers: loading, matrix-free solving and writing
-hold the views plus at most one more n-by-n array's worth, and a dense
-solve adds each view's operator into one sum as it is built.
+hold the views plus at most one more n-by-n array's worth, a dense
+solve adds each view's operator into one sum as it is built, and
+betweenness holds O(n^2).
 
 Peaks are measured with tracemalloc, which numpy reports its array
 buffers to, as bytes allocated above what was held before the call.
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from mvgehd.graph import MultiViewGraph, load_multiview, save_matrix_csv, save_multiview
+from mvgehd.hubs import betweenness
 from mvgehd.solver import EmbedConfig, solve
 from mvgehd.synth import PlantedSpec, generate_multiview
 
@@ -84,3 +86,18 @@ def test_load_holds_the_views_plus_one(graph, tmp_path):
 def test_save_streams_rows(graph, tmp_path):
     _, peak = peak_above_start(lambda: save_matrix_csv(graph.views[0], tmp_path / "v.csv"))
     assert peak <= N * N
+
+
+@pytest.mark.parametrize("kind", ["weighted", "binary"])
+def test_betweenness_stays_quadratic(graph, kind):
+    view = np.array(graph.views[0])
+    if kind == "binary":
+        # Tied routes: 129 of the 399 settle ranks have more than n
+        # predecessor entries and rebuild their masks.
+        view = (view > 0) * 1.0
+    betweenness(np.ones((2, 2)))  # imports done on first use
+    _, peak = peak_above_start(lambda: betweenness(view))
+    # About 7.5 (weighted) and 9.7 (binary) views' worth here, and 9.3 on
+    # both when every mask is rebuilt; keeping every rank's dense mask
+    # would add n^3 bytes, 50 views' worth.
+    assert peak <= 12 * VIEW_BYTES

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mvgehd.metrics
 from mvgehd.metrics import accuracy, evaluate, hungarian, nmi
 
 
@@ -177,3 +178,18 @@ class TestEvaluate:
         as_floats = evaluate(np.array(pred, dtype=float), [float(t) for t in truth])
         assert (as_floats.acc, as_floats.nmi) == (as_ints.acc, as_ints.nmi)
         np.testing.assert_array_equal(as_floats.mapping, as_ints.mapping)
+
+    def test_builds_one_contingency_table(self, monkeypatch):
+        pred, truth = [0, 2, 1, 1, 2, 0], [1, 1, 0, 0, 2, 2]
+        want = (accuracy(pred, truth), nmi(pred, truth))
+        built = []
+        table = mvgehd.metrics.contingency_table
+
+        def counting(*args):
+            built.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(mvgehd.metrics, "contingency_table", counting)
+        res = evaluate(pred, truth)
+        assert len(built) == 1
+        assert (res.acc, res.nmi) == want
