@@ -122,17 +122,18 @@ def _process_pool(workers: int):
     imported package and runs only pure functions of its pickled arguments.
     The package imports SciPy only inside the functions that call it, so
     every SciPy module a worker can reach is imported here, once, before
-    the fork: `scipy.linalg` and `scipy.sparse.linalg` for the dense and
-    matrix-free eigen-steps of a solve, `scipy.optimize` for the assignment
-    solver of sweep-k's scoring. Otherwise every worker of every pool
-    imports them again on its first task, about 0.5 s of CPU each: on the
-    cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
+    the fork: `scipy.linalg` for the dense eigen-steps of a solve and the
+    spectral step of sweep-k's scoring, `scipy.sparse.linalg` for the
+    matrix-free eigen-steps; the scoring's label matching
+    (`metrics.hungarian`) is numpy alone. Otherwise every worker of every
+    pool imports them again on its first task, about 0.5 s of CPU each: on
+    the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
     On an error, work not yet handed to a worker is cancelled. Workers keep
     the BLAS library's default thread count, so subjects with n >= 200,
     whose solves run BLAS-threaded matrix products, would oversubscribe the
     cores with several BLAS threads per worker.
     """
-    import scipy.linalg, scipy.optimize, scipy.sparse.linalg  # noqa: E401, F401
+    import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
 
     pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("fork"))
@@ -238,13 +239,16 @@ def _cohort_manifests(cohort_path) -> list:
 
 
 def cmd_cluster_subjects(args: argparse.Namespace) -> None:
+    kmeans_config = KMeansConfig(restarts=args.restarts, seed=args.seed)
     workers = _worker_count()
-    graphs = [load_multiview(p) for p in _cohort_manifests(args.cohort)]
+    manifests = _cohort_manifests(args.cohort)
+    if not 1 <= args.k <= len(manifests):
+        raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
+    graphs = [load_multiview(p) for p in manifests]
     with _process_pool(workers) as pool:
         embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
-    labels = cluster_subjects(embeddings, args.k,
-                              KMeansConfig(restarts=args.restarts, seed=args.seed))
+    labels = cluster_subjects(embeddings, args.k, kmeans_config)
     _write_json(args.out, {"k": args.k, "labels": labels}, args)
 
 
@@ -281,6 +285,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
             f"need 1 <= --k-min <= --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    KMeansConfig(restarts=args.restarts)  # checks --restarts
     workers = _worker_count()
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)

@@ -3,9 +3,10 @@ normalized mutual information.
 
 Accuracy maps predicted labels onto ground-truth labels with an optimal
 assignment over the (negated) contingency table, so it is invariant to how
-either side numbers its clusters. NMI is mutual information normalized by
-the geometric mean of the two label entropies (natural logs), with the
-zero-entropy case defined as 0.
+either side numbers its clusters. The assignment solver (`hungarian`) is
+numpy alone, so scoring loads no SciPy. NMI is mutual information
+normalized by the geometric mean of the two label entropies (natural
+logs), with the zero-entropy case defined as 0.
 """
 
 from __future__ import annotations
@@ -29,45 +30,116 @@ class EvalResult:
 def hungarian(cost: np.ndarray) -> np.ndarray:
     """Minimum-cost assignment of rows to columns of a square cost matrix.
 
-    Returns perm with perm[i] = column assigned to row i. Among all optimal
-    assignments (ties within a 1e-9 relative tolerance on the total), the
-    lexicographically smallest permutation is returned, which makes the
-    result deterministic.
-    """
-    from scipy.optimize import linear_sum_assignment
+    Returns perm with perm[i] = column assigned to row i, as an int64 array.
 
+    The solver is the Hungarian method with shortest augmenting paths
+    (Jonker & Volgenant, 1987): rows join one at a time, each along a
+    shortest alternating path found over all columns at once, and the row
+    and column potentials u, v keep every reduced cost c - u - v
+    nonnegative, zero on the matching: O(k^3) work in at most k^2 steps,
+    each vectorised over the columns.
+
+    Ties: with `best` the optimal total, an edge is tight when its reduced
+    cost is at most _TIE_TOL * max(1, |best|) (_TIE_TOL = 1e-9). Rows are
+    fixed in order, each to the smallest unfixed column whose edge is tight
+    and which leaves a perfect matching of tight edges among the rows and
+    columns not yet fixed: when the current matching gives that column to a
+    later row, that row is rerouted along an alternating path of tight
+    edges to the column the fixed row gives up, and when no such path
+    exists the next column is tried. The result is the lexicographically
+    smallest permutation made of tight edges. Every optimal permutation is
+    one; with integer costs, such as negated contingency tables, the
+    potentials and reduced costs are integers and only the optimal
+    permutations are, so the result is the lexicographically smallest
+    optimal permutation.
+    """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
     k = c.shape[0]
-    rows, cols = linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
-    tol = _TIE_TOL * max(1.0, abs(best))
-
-    # Fix columns row by row, keeping the total optimal: the smallest
-    # feasible column at each row yields the lexicographically smallest
-    # optimal permutation.
-    perm = np.full(k, -1, dtype=np.int64)
-    used = np.zeros(k, dtype=bool)
-    fixed_cost = 0.0
+    u, v = np.zeros(k), np.zeros(k)
+    row_of = np.full(k, -1, dtype=np.int64)  # row matched to each column
     for i in range(k):
-        free_cols = np.flatnonzero(~used)
-        for j in free_cols:
-            rest_cols = free_cols[free_cols != j]
-            if i + 1 == k:
-                total = fixed_cost + c[i, j]
-            else:
-                sub = c[np.ix_(np.arange(i + 1, k), rest_cols)]
-                r2, c2 = linear_sum_assignment(sub)
-                total = fixed_cost + c[i, j] + float(sub[r2, c2].sum())
-            if total <= best + tol:
-                perm[i] = j
-                used[j] = True
-                fixed_cost += c[i, j]
+        # Dijkstra over columns from row i; way[j] is the column before j
+        # on the shortest alternating path (-1: reached from row i itself).
+        minv = np.full(k, np.inf)
+        way = np.full(k, -1, dtype=np.int64)
+        used = np.zeros(k, dtype=bool)
+        tree_rows = [i]
+        row, col = i, -1
+        while True:
+            reduced = c[row] - u[row] - v
+            better = ~used & (reduced < minv)
+            minv[better] = reduced[better]
+            way[better] = col
+            pending = np.where(used, np.inf, minv)
+            col = int(pending.argmin())
+            delta = minv[col]
+            if row_of[col] >= 0:
+                # Among equally near columns an unmatched one ends the path
+                # now; without this, the zero rows and columns of a padded
+                # table are each walked through every matched zero column.
+                ends = np.flatnonzero((pending == delta) & (row_of < 0))
+                if ends.size:
+                    col = int(ends[0])
+            u[tree_rows] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            if row_of[col] < 0:
                 break
-    return perm
+            used[col] = True
+            row = int(row_of[col])
+            tree_rows.append(row)
+        while col >= 0:
+            prev = int(way[col])
+            row_of[col] = i if prev < 0 else row_of[prev]
+            col = prev
+    col_of = np.empty(k, dtype=np.int64)
+    col_of[row_of] = np.arange(k)
+    best = float(c[np.arange(k), col_of].sum())
+    tight = c - u[:, None] - v <= _TIE_TOL * max(1.0, abs(best))
+
+    free = np.ones(k, dtype=bool)  # columns not yet fixed to a row
+    for i in range(k):
+        for j in np.flatnonzero(tight[i] & free):
+            if j == col_of[i] or _reroute(tight, row_of, col_of, free, i, j):
+                break
+        free[col_of[i]] = False
+    return col_of
+
+
+def _reroute(tight, row_of, col_of, free, i, j) -> bool:
+    """Give column j to row i within the tight edges, if it can be done.
+
+    Row r = row_of[j] must then take a new column: a breadth-first search
+    from r over alternating paths of tight edges, through free columns
+    other than j, looks for the column i gives up. On success the matching
+    is flipped along that path and True returned; otherwise nothing changes.
+    """
+    target = col_of[i]
+    reached_from = np.full(len(col_of), -1, dtype=np.int64)  # row that reached each column
+    seen = ~free
+    seen[j] = True
+    frontier = row_of[[j]]
+    while frontier.size:
+        reach = tight[frontier] & ~seen
+        cols = np.flatnonzero(reach.any(axis=0))
+        reached_from[cols] = frontier[reach[:, cols].argmax(axis=0)]
+        if reached_from[target] >= 0:
+            col = target
+            while True:
+                row = reached_from[col]
+                col, col_of[row] = col_of[row], col
+                row_of[col_of[row]] = row
+                if col == j:
+                    break
+            col_of[i], row_of[j] = j, i
+            return True
+        seen[cols] = True
+        frontier = row_of[cols]
+    return False
 
 
 def as_labels(labels) -> np.ndarray:

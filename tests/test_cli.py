@@ -316,6 +316,7 @@ class TestSubjectPipeline:
         (["--k-min", 9, "--k-max", 5], "--k-min"),
         (["--k-min", 0, "--k-max", 5], "--k-min"),
         (["--repeats", 0], "--repeats"),
+        (["--restarts", 0], "restarts"),
     ])
     def test_sweep_arguments_checked_before_loading(self, cohort_dir, tmp_path, capsys,
                                                     monkeypatch, flags, message):
@@ -327,6 +328,25 @@ class TestSubjectPipeline:
         code = run("sweep-k", "--cohort", cohort_dir / "cohort.json",
                    "--truth", cohort_dir / "cohort_truth.json", *flags,
                    "--seed", 0, "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--restarts", 0], "restarts"),
+        (["--k", 0], "--k"),
+        (["--k", 17], "--k"),  # the cohort has 16 subjects
+    ])
+    def test_cluster_subjects_arguments_checked_before_loading(
+            self, cohort_dir, tmp_path, capsys, monkeypatch, flags, message):
+        def fail(path):
+            raise AssertionError("a subject was loaded before the argument check")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        out = tmp_path / "subj.json"
+        code = run("cluster-subjects", "--cohort", cohort_dir / "cohort.json",
+                   "--embed-k", 3, *flags, "--seed", 0, "--out", out)
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]

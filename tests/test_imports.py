@@ -60,6 +60,35 @@ print(json.dumps({{"code": mvgehd.cli.main(sys.argv[1:]), "pid": os.getpid()}}))
 """
 
 
+# Runs `main` with each cohort worker task wrapped to log, per task, every
+# SciPy module the worker holds once the task is done; prints the exit code
+# and the SciPy modules of the parent.
+LIST_WORKERS = f"""
+import json, os, sys
+import mvgehd.cli
+
+LOG = os.environ["WATCH_LOG"]
+solve_embedding, score_k = mvgehd.cli._solve_embedding, mvgehd.cli._score_k
+
+def listed(name, task, args, kwargs):
+    try:
+        return task(*args, **kwargs)
+    finally:
+        with open(LOG, "a") as log:
+            log.write(json.dumps([name, os.getpid(), {SCIPY_MODULES}]) + "\\n")
+
+def listed_solve(*args, **kwargs):
+    return listed("solve", solve_embedding, args, kwargs)
+
+def listed_score(*args, **kwargs):
+    return listed("score", score_k, args, kwargs)
+
+mvgehd.cli._solve_embedding, mvgehd.cli._score_k = listed_solve, listed_score
+code = mvgehd.cli.main(sys.argv[1:])
+print(json.dumps({{"code": code, "pid": os.getpid(), "scipy": {SCIPY_MODULES}}}))
+"""
+
+
 def fresh(script, *args, **env):
     environ = dict(os.environ, **env)
     environ["PYTHONPATH"] = os.pathsep.join(
@@ -78,12 +107,14 @@ def run_main(*argv):
 
 @pytest.fixture(scope="module")
 def small(tmp_path_factory):
-    """An n = 40 graph and its embedding, made in this process."""
+    """An n = 40 graph, its embedding and node labels, made in this process."""
     out = tmp_path_factory.mktemp("small")
     assert main(["generate", "--out", str(out / "g"), "--n", "40", "--clusters", "2",
                  "--hubs", "2", "--views", "2", "--seed", "3"]) == 0
     assert main(["embed", "--manifest", str(out / "g" / "manifest.json"), "--k", "2",
                  "--out", str(out / "emb")]) == 0
+    assert main(["cluster-nodes", "--embedding", str(out / "emb" / "embedding.csv"),
+                 "--k", "3", "--seed", "0", "--out", str(out / "labels.json")]) == 0
     return out
 
 
@@ -92,13 +123,14 @@ def test_import_loads_no_scipy(module):
     assert fresh(f"import json, sys, {module}; print(json.dumps({SCIPY_MODULES}))") == []
 
 
-@pytest.mark.parametrize("stage", ["generate", "hubs", "cluster-nodes"])
+@pytest.mark.parametrize("stage", ["generate", "hubs", "cluster-nodes", "evaluate"])
 def test_stage_loads_no_scipy(small, tmp_path, stage):
     embedding = small / "emb" / "embedding.csv"
     argv = {
         "generate": ["--n", 40, "--clusters", 2, "--hubs", 2, "--seed", 3],
         "hubs": ["--method", "row_norm", "--embedding", embedding, "--hub-top", 2],
         "cluster-nodes": ["--embedding", embedding, "--k", 2, "--seed", 0],
+        "evaluate": ["--pred", small / "labels.json", "--truth", small / "g" / "truth.json"],
     }[stage]
     assert run_main(stage, *argv, "--out", tmp_path / "out") == []
 
@@ -137,3 +169,32 @@ def test_workers_import_no_scipy_after_fork(cohort_n200, tmp_path, command):
     assert len([name for name, _, _ in tasks if name == "solve"]) == 4
     assert all(pid != result["pid"] for _, pid, _ in tasks)
     assert [imported for _, _, imported in tasks] == [[]] * len(tasks)
+
+
+@pytest.fixture(scope="module")
+def cohort_n60(tmp_path_factory):
+    """A small cohort at n = 60, the size of the cohort benchmark's subjects."""
+    out = tmp_path_factory.mktemp("cohort60") / "c"
+    assert main(["generate", "--out", str(out), "--n", "60", "--clusters", "4",
+                 "--hubs", "5", "--views", "2", "--seed", "11", "--cohort", "3,3",
+                 "--b-clusters", "2", "--b-seed", "22"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+def test_cohort_commands_load_no_scipy_optimize(cohort_n60, tmp_path, command):
+    flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
+             "sweep-k": ["--truth", cohort_n60 / "cohort_truth.json",
+                         "--k-min", 3, "--k-max", 4, "--repeats", 2]}[command]
+    log = tmp_path / "tasks.jsonl"
+    result = fresh(LIST_WORKERS, command, "--cohort", cohort_n60 / "cohort.json",
+                   *flags, "--seed", 0, "--out", tmp_path / "out.json",
+                   WATCH_LOG=str(log), MVGEHD_THREADS="2")
+    assert result["code"] == 0
+    tasks = [json.loads(line) for line in log.read_text().splitlines()]
+    want = {"cluster-subjects": {"solve"}, "sweep-k": {"solve", "score"}}[command]
+    assert {name for name, _, _ in tasks} == want
+    assert all(pid != result["pid"] for _, pid, _ in tasks)
+    held = [result["scipy"]] + [modules for _, _, modules in tasks]
+    assert all("scipy.linalg" in modules for modules in held)
+    assert not [m for modules in held for m in modules if m.startswith("scipy.optimize")]

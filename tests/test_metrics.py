@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mvgehd.metrics
-from mvgehd.metrics import accuracy, evaluate, hungarian, nmi
+from mvgehd.metrics import accuracy, contingency_table, evaluate, hungarian, nmi
 
 
 def brute_force_assignment(cost):
@@ -20,6 +20,38 @@ def brute_force_assignment(cost):
         if total < best - 1e-12:
             best, best_perm = total, perm
     return np.array(best_perm), best
+
+
+def lsa_hungarian(cost):
+    """Reference: the lexicographically smallest permutation whose total is
+    within 1e-9 * max(1, |best|) of SciPy's optimum, fixing rows in order
+    and re-solving the rest with `linear_sum_assignment` for each column."""
+    from scipy.optimize import linear_sum_assignment
+
+    c = np.asarray(cost, dtype=np.float64)
+    k = c.shape[0]
+    rows, cols = linear_sum_assignment(c)
+    best = float(c[rows, cols].sum())
+    tol = 1e-9 * max(1.0, abs(best))
+    perm = np.full(k, -1, dtype=np.int64)
+    used = np.zeros(k, dtype=bool)
+    fixed_cost = 0.0
+    for i in range(k):
+        free_cols = np.flatnonzero(~used)
+        for j in free_cols:
+            rest_cols = free_cols[free_cols != j]
+            if i + 1 == k:
+                total = fixed_cost + c[i, j]
+            else:
+                sub = c[np.ix_(np.arange(i + 1, k), rest_cols)]
+                r2, c2 = linear_sum_assignment(sub)
+                total = fixed_cost + c[i, j] + float(sub[r2, c2].sum())
+            if total <= best + tol:
+                perm[i] = j
+                used[j] = True
+                fixed_cost += c[i, j]
+                break
+    return perm
 
 
 def brute_force_accuracy(pred, truth):
@@ -78,6 +110,74 @@ class TestHungarian:
             hungarian(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             hungarian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+class TestHungarianOracles:
+    """`linear_sum_assignment` is the oracle for the optimal total, and
+    `lsa_hungarian` for the tie rule."""
+
+    @pytest.mark.parametrize("kind", ["integer", "float"])
+    def test_total_is_optimal(self, kind):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(10)
+        for k in range(1, 61):
+            if kind == "integer":
+                cost = rng.integers(-20, 20, size=(k, k)).astype(float)
+            else:
+                cost = rng.standard_normal((k, k)) * 10.0 ** rng.integers(-3, 4)
+            perm = hungarian(cost)
+            assert perm.dtype == np.int64
+            assert sorted(perm) == list(range(k))
+            rows, cols = linear_sum_assignment(cost)
+            best = cost[rows, cols].sum()
+            assert cost[np.arange(k), perm].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_ties_match_reference(self):
+        rng = np.random.default_rng(11)
+        makers = [
+            lambda k: rng.integers(0, 3, size=(k, k)).astype(float),
+            lambda k: rng.integers(0, 2, size=(k, k)).astype(float),
+            lambda k: rng.integers(0, 10, size=(k, k)).astype(float),
+            lambda k: -rng.integers(0, 6, size=(k, k)).astype(float),
+            lambda k: rng.random((k, k)),
+            # decimals: equal-sum permutations differ in the last bits
+            lambda k: (rng.integers(0, 4, size=(k, k)) * 0.1
+                       + rng.integers(0, 3, size=(k, k)) * 0.7),
+        ]
+        for trial in range(2400):
+            cost = makers[trial % len(makers)](int(rng.integers(1, 10)))
+            np.testing.assert_array_equal(hungarian(cost), lsa_hungarian(cost))
+
+    def test_rounding_ties_count_as_ties(self):
+        # 0.1 + 0.2 > 0.3 + 0.0 in floating point; within the tolerance the
+        # two totals tie, and the identity is the smaller permutation.
+        cost = np.array([[0.1, 0.3], [0.0, 0.2]])
+        np.testing.assert_array_equal(hungarian(cost), [0, 1])
+        np.testing.assert_array_equal(lsa_hungarian(cost), [0, 1])
+
+    def test_padded_tables_match_reference(self):
+        # Negated contingency tables whose alphabets have gaps or one far
+        # label: zero rows and zero columns, all tied with one another.
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n = int(rng.integers(5, 91))
+            pred = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            truth = rng.integers(0, int(rng.integers(1, 5)), size=n)
+            far = rng.integers(0, n, size=int(rng.integers(1, 3)))
+            (pred if trial % 2 else truth)[far] = rng.integers(5, 40, size=far.size)
+            cost = -contingency_table(pred, truth).astype(np.float64)
+            np.testing.assert_array_equal(hungarian(cost), lsa_hungarian(cost))
+        pred = rng.integers(0, 3, size=90)
+        pred[0] = 200
+        cost = -contingency_table(pred, rng.integers(0, 3, size=90)).astype(np.float64)
+        np.testing.assert_array_equal(hungarian(cost), lsa_hungarian(cost))
+
+    @pytest.mark.parametrize("cost", [np.zeros((0, 0)), np.array([[3.5]]), np.array([[-1.0]])])
+    def test_smallest_sizes(self, cost):
+        perm = hungarian(cost)
+        assert perm.dtype == np.int64
+        np.testing.assert_array_equal(perm, lsa_hungarian(cost))
 
 
 class TestAccuracy:
