@@ -235,6 +235,9 @@ def _cohort_manifests(cohort_path) -> list:
     obj = json.loads(cohort_path.read_text())
     if "subjects" not in obj:
         raise ValueError(f"{cohort_path} has no 'subjects' field")
+    # Subject clustering splits the cohort in two.
+    if len(obj["subjects"]) < 2:
+        raise ValueError(f"need at least 2 subjects, got {len(obj['subjects'])}")
     return [cohort_path.parent / p for p in obj["subjects"]]
 
 
@@ -286,19 +289,20 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     KMeansConfig(restarts=args.restarts)  # checks --restarts
+    ks = range(args.k_min, args.k_max + 1)
+    configs = [_embed_config(args, k=k) for k in ks]
     workers = _worker_count()
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
     graphs = [load_multiview(p) for p in manifests]
-    ks = range(args.k_min, args.k_max + 1)
     with _process_pool(workers) as pool:
         # Every solve is queued before any result is awaited, so workers do
         # not idle between ks. The pool runs tasks first in, first out, so
         # each k's scoring starts only after every solve queued before it.
-        solving = [pool.map(_solve_embedding, graphs, repeat(_embed_config(args, k=k)))
-                   for k in ks]
+        solving = [pool.map(_solve_embedding, graphs, repeat(config))
+                   for config in configs]
         score = partial(_score_k, truth=truth, repeats=args.repeats,
                         restarts=args.restarts, seed=args.seed)
         rows = list(pool.map(score, ks, (list(cohort) for cohort in solving)))

@@ -60,10 +60,13 @@ def score_ranking(scores: np.ndarray) -> np.ndarray:
 
 
 def select_hubs(scores: np.ndarray, top: int | None = None,
-                threshold: float | None = None) -> np.ndarray:
+                threshold: float | None = None, largest: bool = False) -> np.ndarray:
     """Pick low-score nodes, either the `top` smallest or all at or below `threshold`.
 
-    Exactly one strategy must be given. Returns indices in ascending order.
+    With largest=True the direction flips: the `top` largest (ties by lower
+    index), or all at or above `threshold`. Exactly one strategy must be
+    given, and a threshold must be finite and >= 0. Returns indices in
+    ascending order.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if (top is None) == (threshold is None):
@@ -71,11 +74,11 @@ def select_hubs(scores: np.ndarray, top: int | None = None,
     if top is not None:
         if not 0 <= top <= scores.size:
             raise ValueError(f"top must be in 0..{scores.size}, got {top}")
-        chosen = score_ranking(scores)[:top]
+        chosen = score_ranking(-scores if largest else scores)[:top]
     else:
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        chosen = np.flatnonzero(scores <= threshold)
+        if not (np.isfinite(threshold) and threshold >= 0):
+            raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+        chosen = np.flatnonzero(scores >= threshold if largest else scores <= threshold)
     return np.sort(chosen)
 
 
@@ -185,18 +188,10 @@ def hub_report(scores: np.ndarray, method: str, top: int | None = None,
     if method not in HUB_METHODS:
         raise ValueError(f"unknown hub method {method!r}; expected one of {HUB_METHODS}")
     scores = np.asarray(scores, dtype=np.float64)
-    if method == "row_norm":
-        selected = select_hubs(scores, top=top, threshold=threshold)
-    else:
-        if (top is None) == (threshold is None):
-            raise ValueError("give exactly one of top= or threshold=")
-        if top is not None:
-            selected = select_hubs(-scores, top=top)
-        else:
-            selected = np.flatnonzero(scores >= threshold)
     return HubReport(
         method=method,
         scores=scores,
         ranking=score_ranking(scores),
-        selected=selected,
+        selected=select_hubs(scores, top=top, threshold=threshold,
+                             largest=method == "betweenness"),
     )

@@ -1,4 +1,5 @@
-"""Dense symmetric linear algebra primitives used by the embedding solver.
+"""Dense symmetric eigen-solves for the embedding solver and the subject
+spectral step (mvgehd.clustering).
 
 The eigen-solves here call LAPACK's dense symmetric driver dsyevr, by way
 of scipy.linalg.lapack, which the first solve imports (importing this
@@ -94,12 +95,3 @@ def _syevr_workspace(n: int) -> tuple[int, int]:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr_lwork failed with info = {info}")
     return int(work), int(iwork)
-
-
-def trace_form(basis: np.ndarray, operator: np.ndarray) -> float:
-    """Tr(F^T L F) for an n-by-k basis F and an n-by-n operator L."""
-    f = np.asarray(basis, dtype=np.float64)
-    l = np.asarray(operator, dtype=np.float64)
-    if f.ndim != 2 or l.ndim != 2 or l.shape[0] != l.shape[1] or l.shape[1] != f.shape[0]:
-        raise ValueError(f"dimension mismatch: F is {f.shape}, L is {l.shape}")
-    return float(np.einsum("ij,ij->", f, l @ f))

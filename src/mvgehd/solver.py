@@ -13,8 +13,8 @@ neighbor-average residual P = F - W F, the smoothed row-norm sum is
 
     h_v(F) = sum_j (sqrt(||p_j||^2 + epsilon) - sqrt(epsilon)).
 
-The reported objective is J(F) = sum_v sqrt(h_v(F)) in auto mode and
-sum_v alpha_v h_v(F) with fixed view weights alpha_v.
+The reported objective (embedding_objective) is J(F) = sum_v sqrt(h_v(F))
+in auto mode and sum_v alpha_v h_v(F) with fixed view weights alpha_v.
 
 One solver iteration, from the current embedding F:
   1. per view, form the residual P = F - W F;
@@ -23,8 +23,8 @@ One solver iteration, from the current embedding F:
      norm in ||p_j||^2, giving the reweighted operator L = M^T Q M with
      M = I - W;
   3. in auto mode, set each view weight to 1 / (2 sqrt(h_v(F))), the slope
-     of sqrt at h_v, so views the current embedding fits well get large
-     weights;
+     of sqrt at h_v (auto_view_weights), so views the current embedding
+     fits well get large weights;
   4. refresh F as the eigenvectors of the 2nd through (k+1)-th smallest
      eigenvalues of the weighted sum of the per-view operators. M
      annihilates vectors that are constant on each connected component of
@@ -34,10 +34,15 @@ One solver iteration, from the current embedding F:
      embedding columns.
 
 Steps 2 and 3 take tangents of concave functions (sqrt(x + epsilon) in
-x = ||p_j||^2, and sqrt in h_v), so sum_v alpha_v Tr(F^T L_v F) plus a
-constant lies above the reported objective and touches it at the current
-F. Step 4 minimizes that bound, so the reported objective never rises: the
-scheme is majorize-minimize.
+x = ||p_j||^2, and sqrt in h_v), so the quadratic model
+
+    Phi(G) = sum_v alpha_v sum_j q_vj ||(M_v G)_j||^2 = sum_v alpha_v Tr(G^T L_v G),
+
+with q and alpha taken at the current F, lies above the reported objective
+up to a constant and touches it at F. Step 4 minimizes Phi over orthonormal
+G orthogonal to the skipped bottom eigenvector, so Phi does not rise across
+a step and the reported objective never rises: the scheme is
+majorize-minimize.
 
 The first iteration uses equal view weights 1/m rather than the tangent
 weights, so the descent guarantee covers every step after the first; the
@@ -85,10 +90,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ISOLATED_POLICIES, MultiViewGraph, affinity_and_degrees
-from .linalg import _fix_column_signs, smallest_eigenpairs, trace_form
+from .linalg import _fix_column_signs, smallest_eigenpairs
 
-# Traces this far below zero mean an operator lost positive semidefiniteness.
-_PSD_SLACK = 1e-10
 # Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
 # embedding fits exactly has h_v = 0.
 _ALPHA_GUARD = 1e-12
@@ -125,12 +128,12 @@ class EmbedConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"embedding dimension k must be >= 1, got {self.k}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
+        if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if self.isolated_policy not in ISOLATED_POLICIES:
             raise ValueError(
                 f"unknown isolated_policy {self.isolated_policy!r}; "
@@ -229,52 +232,19 @@ def smoothed_row_norm_sum(residual: np.ndarray, epsilon: float) -> float:
     return float(np.sum(sq / (np.sqrt(sq + epsilon) + np.sqrt(epsilon))))
 
 
-def combined_laplacian(laplacians, weights) -> np.ndarray:
-    """Weighted sum of per-view operators."""
-    if len(laplacians) != len(weights):
-        raise ValueError(
-            f"{len(laplacians)} operators but {len(weights)} weights")
-    if len(laplacians) == 0:
-        raise ValueError("need at least one operator")
-    out = np.zeros_like(np.asarray(laplacians[0], dtype=np.float64))
-    for lap, w in zip(laplacians, weights):
-        out += float(w) * np.asarray(lap, dtype=np.float64)
-    return out
+def auto_view_weights(row_norm_sums: np.ndarray) -> np.ndarray:
+    """Auto-mode view weights 1 / (2 sqrt(h_v)), the slope of sqrt at each
+    view's smoothed row-norm sum h_v, with h_v floored at 1e-12."""
+    return 1.0 / (2.0 * np.sqrt(np.maximum(row_norm_sums, _ALPHA_GUARD)))
 
 
-def auto_view_weights(embedding: np.ndarray, laplacians,
-                      guard: float = 1e-12) -> np.ndarray:
-    """View weights 1 / (2 sqrt(Tr(F^T L F))) of the trace-form surrogate.
-
-    This is the weight rule of the quadratic surrogate that one eigen-step
-    minimizes, with the traces floored at `guard`; solve() instead takes
-    the weights from the smoothed row-norm sums (see the module docstring).
-    """
-    if guard <= 0:
-        raise ValueError(f"guard must be positive, got {guard}")
-    traces = np.array([trace_form(embedding, lap) for lap in laplacians])
-    return 1.0 / (2.0 * np.sqrt(np.maximum(traces, guard)))
-
-
-def embedding_objective(embedding: np.ndarray, laplacians) -> float:
-    """Trace-form surrogate sum_v sqrt(Tr(F^T L_v F)); traces clamp at zero.
-
-    With the operators of one eigen-step held fixed, this is a function
-    that step cannot increase. It is not the objective solve() reports,
-    which re-linearizes the operators at each embedding (see the module
-    docstring). A trace below -1e-10 means an upstream operator is not
-    positive semidefinite, which is a bug, so it raises instead of being
-    clamped.
-    """
-    total = 0.0
-    for i, lap in enumerate(laplacians):
-        z = trace_form(embedding, lap)
-        if z < -_PSD_SLACK:
-            raise ValueError(
-                f"operator {i} produced trace {z:g} < -{_PSD_SLACK:g}; "
-                "positive semidefiniteness is broken upstream")
-        total += np.sqrt(max(z, 0.0))
-    return float(total)
+def embedding_objective(row_norm_sums: np.ndarray, weights=None) -> float:
+    """The reported objective from the views' smoothed row-norm sums h_v:
+    sum_v sqrt(h_v) in auto mode (weights=None), sum_v alpha_v h_v with
+    fixed view weights alpha."""
+    if weights is None:
+        return float(np.sqrt(row_norm_sums).sum())
+    return float(np.asarray(weights, dtype=np.float64) @ row_norm_sums)
 
 
 def _check_solve_inputs(n: int, m: int, config: EmbedConfig) -> None:
@@ -404,12 +374,9 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     while True:
         residuals = [op.residual(f) for op in ops]
         sums = np.array([smoothed_row_norm_sum(p, config.epsilon) for p in residuals])
-        if config.weights is None:
-            if iterations > 0:
-                alphas = 1.0 / (2.0 * np.sqrt(np.maximum(sums, _ALPHA_GUARD)))
-            objectives.append(float(np.sqrt(sums).sum()))
-        else:
-            objectives.append(float(alphas @ sums))
+        if config.weights is None and iterations > 0:
+            alphas = auto_view_weights(sums)
+        objectives.append(embedding_objective(sums, config.weights))
         alpha_history.append(alphas.copy())
         if len(objectives) >= 2:
             prev, cur = objectives[-2], objectives[-1]

@@ -117,6 +117,26 @@ class TestEmbed:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] and err["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epsilon", "nan"], "epsilon"),
+        (["--epsilon", "inf"], "epsilon"),
+        (["--tol", "nan"], "rel_tol"),
+        (["--tol", "inf"], "rel_tol"),
+    ])
+    def test_non_finite_solver_flags_rejected(self, generated, tmp_path, capsys,
+                                              monkeypatch, flags, message):
+        def fail(graph, config):
+            raise AssertionError("solve ran with a non-finite solver flag")
+
+        monkeypatch.setattr("mvgehd.cli.solve", fail)
+        out = tmp_path / "emb"
+        code = run("embed", "--manifest", generated / "manifest.json", "--k", 2,
+                   *flags, "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
     def test_rerun_bit_identical(self, generated, tmp_path):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
         run("embed", "--manifest", generated / "manifest.json", "--k", 2, "--out", out1)
@@ -143,6 +163,22 @@ class TestHubsCommand:
         assert report["method"] == "betweenness"
         assert len(report["selected"]) == 3
         assert sorted(report["ranking"]) == list(range(40))
+
+    @pytest.mark.parametrize("method, threshold", [
+        ("row_norm", "nan"), ("betweenness", "nan"), ("betweenness", "-1"),
+    ])
+    def test_bad_threshold_rejected(self, generated, tmp_path, capsys, method, threshold):
+        embedding = tmp_path / "embedding.csv"
+        save_matrix_csv(np.array([[0.4], [0.1], [0.9]]), embedding)
+        source = {"row_norm": ["--embedding", embedding],
+                  "betweenness": ["--manifest", generated / "manifest.json"]}[method]
+        out = tmp_path / "h.json"
+        code = run("hubs", "--method", method, *source, "--hub-threshold", threshold,
+                   "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "threshold" in err["message"]
+        assert not out.exists()
 
     def test_betweenness_reads_only_its_view(self, generated, tmp_path):
         want = tmp_path / "want.json"
@@ -317,6 +353,8 @@ class TestSubjectPipeline:
         (["--k-min", 0, "--k-max", 5], "--k-min"),
         (["--repeats", 0], "--repeats"),
         (["--restarts", 0], "restarts"),
+        (["--epsilon", "nan"], "epsilon"),
+        (["--tol", "nan"], "rel_tol"),
     ])
     def test_sweep_arguments_checked_before_loading(self, cohort_dir, tmp_path, capsys,
                                                     monkeypatch, flags, message):
@@ -337,6 +375,8 @@ class TestSubjectPipeline:
         (["--restarts", 0], "restarts"),
         (["--k", 0], "--k"),
         (["--k", 17], "--k"),  # the cohort has 16 subjects
+        (["--epsilon", "inf"], "epsilon"),
+        (["--tol", "nan"], "rel_tol"),
     ])
     def test_cluster_subjects_arguments_checked_before_loading(
             self, cohort_dir, tmp_path, capsys, monkeypatch, flags, message):
@@ -350,6 +390,27 @@ class TestSubjectPipeline:
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_one_subject_cohort_rejected_before_loading(self, cohort_dir, tmp_path, capsys,
+                                                        monkeypatch, command):
+        def fail(path):
+            raise AssertionError("a subject was loaded before the cohort size check")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        subject = read(cohort_dir / "cohort.json")["subjects"][0]
+        cohort = tmp_path / "cohort.json"
+        cohort.write_text(json.dumps({"subjects": [str(cohort_dir / subject)]}))
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"labels": [0]}))
+        flags = {"cluster-subjects": ["--embed-k", 3, "--k", 1],
+                 "sweep-k": ["--truth", truth]}[command]
+        out = tmp_path / "out.json"
+        code = run(command, "--cohort", cohort, *flags, "--out", out)
+        assert code != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "need at least 2 subjects, got 1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0"])

@@ -152,6 +152,20 @@ class TestSelectHubs:
         with pytest.raises(ValueError):
             select_hubs(np.array([0.1]))
 
+    def test_largest_top_breaks_ties_by_index(self):
+        got = select_hubs(np.array([0.9, 0.1, 0.9, 0.5]), top=1, largest=True)
+        np.testing.assert_array_equal(got, [0])
+
+    def test_largest_threshold_is_inclusive(self):
+        got = select_hubs(np.array([0.1, 0.9, 0.8, 0.05]), threshold=0.8, largest=True)
+        np.testing.assert_array_equal(got, [1, 2])
+
+    @pytest.mark.parametrize("largest", [False, True])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_threshold(self, threshold, largest):
+        with pytest.raises(ValueError, match="threshold"):
+            select_hubs(np.array([0.1, 0.2]), threshold=threshold, largest=largest)
+
 
 class TestBetweenness:
     def test_path_graph(self):
@@ -358,6 +372,16 @@ class TestHubReport:
     def test_betweenness_selects_largest(self):
         rep = hub_report(np.array([5.0, 0.5, 9.0]), "betweenness", top=1)
         np.testing.assert_array_equal(rep.selected, [2])
+
+    def test_betweenness_threshold_selects_at_or_above(self):
+        rep = hub_report(np.array([5.0, 0.5, 9.0]), "betweenness", threshold=5.0)
+        np.testing.assert_array_equal(rep.selected, [0, 2])
+
+    @pytest.mark.parametrize("method", ["row_norm", "betweenness"])
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0])
+    def test_rejects_bad_threshold(self, method, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            hub_report(np.array([5.0, 0.5, 9.0]), method, threshold=threshold)
 
     def test_ranking_is_permutation(self):
         rng = np.random.default_rng(2)

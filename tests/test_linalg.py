@@ -1,9 +1,9 @@
-"""Eigen-solve contract, sign convention, norms, and trace forms."""
+"""Eigen-solve contract and sign convention."""
 
 import numpy as np
 import pytest
 
-from mvgehd.linalg import smallest_eigenpairs, trace_form
+from mvgehd.linalg import smallest_eigenpairs
 
 
 def random_symmetric(rng, n):
@@ -79,21 +79,3 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError, match="count"):
             smallest_eigenpairs(np.eye(3), 4)
 
-
-class TestTraceForm:
-    def test_identity_basis(self):
-        assert trace_form(np.eye(2), np.diag([2.0, 5.0])) == pytest.approx(7.0)
-
-    def test_zero_basis(self):
-        assert trace_form(np.zeros((4, 2)), np.eye(4)) == 0.0
-
-    def test_columnwise_oracle(self):
-        rng = np.random.default_rng(2)
-        f = rng.normal(size=(4, 2))
-        l = rng.normal(size=(4, 4))
-        want = sum(f[:, j] @ l @ f[:, j] for j in range(2))
-        assert trace_form(f, l) == pytest.approx(want, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_form(np.zeros((3, 2)), np.zeros((4, 4)))
