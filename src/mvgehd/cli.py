@@ -42,7 +42,7 @@ from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
 from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_view,
                     read_manifest, save_matrix_csv, save_multiview)
-from .hubs import HUB_METHODS, betweenness, hub_report, hub_scores
+from .hubs import HUB_METHODS, betweenness, check_selection, hub_report, hub_scores
 from .metrics import as_labels, evaluate
 from .solver import EmbedConfig, solve
 from .synth import PlantedSpec, generate_cohort, generate_multiview
@@ -208,7 +208,7 @@ def cmd_hubs(args: argparse.Namespace) -> None:
     if args.method == "row_norm":
         if args.embedding is None:
             raise ValueError("--method row_norm needs --embedding")
-        scores = hub_scores(load_matrix_csv(args.embedding))
+        data, score = load_matrix_csv(args.embedding), hub_scores
     else:
         if args.manifest is None:
             raise ValueError("--method betweenness needs --manifest")
@@ -217,8 +217,10 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         paths, transform, _ = read_manifest(args.manifest)
         if not 0 <= args.view < len(paths):
             raise ValueError(f"--view {args.view} out of range for {len(paths)} views")
-        scores = betweenness(load_view(paths[args.view], transform))
-    report = hub_report(scores, args.method, top=args.hub_top,
+        data, score = load_view(paths[args.view], transform), betweenness
+    # Checked before scoring, which for betweenness is O(n^3).
+    check_selection(len(data), top=args.hub_top, threshold=args.hub_threshold)
+    report = hub_report(score(data), args.method, top=args.hub_top,
                         threshold=args.hub_threshold)
     _write_json(args.out, asdict(report), args)
 

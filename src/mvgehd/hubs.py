@@ -51,6 +51,8 @@ def hub_scores(embedding: np.ndarray) -> np.ndarray:
     f = np.asarray(embedding, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"expected an n-by-k embedding, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("embedding contains non-finite entries")
     return np.linalg.norm(f, axis=1)
 
 
@@ -69,17 +71,21 @@ def select_hubs(scores: np.ndarray, top: int | None = None,
     ascending order.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    check_selection(scores.size, top, threshold)
+    if top is not None:
+        return np.sort(score_ranking(-scores if largest else scores)[:top])
+    return np.flatnonzero(scores >= threshold if largest else scores <= threshold)
+
+
+def check_selection(size: int, top: int | None, threshold: float | None) -> None:
+    """Raise ValueError unless select_hubs can choose from `size` scores:
+    exactly one of `top` (in 0..size) and `threshold` (finite, >= 0)."""
     if (top is None) == (threshold is None):
         raise ValueError("give exactly one of top= or threshold=")
-    if top is not None:
-        if not 0 <= top <= scores.size:
-            raise ValueError(f"top must be in 0..{scores.size}, got {top}")
-        chosen = score_ranking(-scores if largest else scores)[:top]
-    else:
-        if not (np.isfinite(threshold) and threshold >= 0):
-            raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-        chosen = np.flatnonzero(scores >= threshold if largest else scores <= threshold)
-    return np.sort(chosen)
+    if top is not None and not 0 <= top <= size:
+        raise ValueError(f"top must be in 0..{size}, got {top}")
+    if threshold is not None and not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
 
 
 def betweenness(view: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ module does not). They serve every eigen-step of the graphs the solver's
 matrix-free rule leaves out (below n = 200, or with a disconnected union
 graph), and redo any matrix-free step that misses its residual check; the
 solver runs the steps of other graphs matrix-free, by LOBPCG, and checks
-those against this dense path (see mvgehd.solver).
+those against this dense path (see mvgehd.solver). dsyevr, like
+scipy.linalg.eigh, reads only the lower triangle of a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-ASYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,14 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
-    """Algebraically smallest `count` eigenpairs of a symmetric matrix.
+    """Algebraically smallest `count` eigenpairs of the symmetric matrix
+    whose lower triangle `matrix` holds; its strict upper triangle is not read.
 
-    The input must be symmetric within ASYMMETRY_TOL (scaled by the matrix
-    magnitude); it is symmetrized as (M + M^T)/2 before the solve so that
-    floating-point assembly drift cannot leak into the eigenproblem. The
-    solve calls LAPACK's dsyevr directly, the driver scipy.linalg.eigh
+    The solve calls LAPACK's dsyevr directly, the driver scipy.linalg.eigh
     picks for an index subset, with its workspace sizes cached per order,
-    so each call skips eigh's driver lookup and workspace query. A LAPACK
-    failure raises numpy.linalg.LinAlgError.
+    so each call skips eigh's driver lookup and workspace query. dsyevr
+    works in place: a Fortran-ordered float64 `matrix` is overwritten; any
+    other is copied. A LAPACK failure raises numpy.linalg.LinAlgError.
     """
     from scipy.linalg.lapack import dsyevr
 
@@ -65,19 +63,9 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
         raise ValueError("matrix contains non-finite entries")
     if not 1 <= count <= n:
         raise ValueError(f"count must be in 1..{n}, got {count}")
-    scale = max(1.0, float(np.linalg.norm(m)))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > ASYMMETRY_TOL * scale:
-        raise ValueError(
-            f"matrix asymmetric beyond tolerance: max |m_ij - m_ji| = {asym:g}")
-    sym = (m + m.T) / 2.0
     lwork, liwork = _syevr_workspace(n)
-    # sym equals its transpose bit for bit, and the transpose is in the
-    # column-major order LAPACK works in, so LAPACK overwrites it in place
-    # instead of copying it.
     eigenvalues, eigenvectors, found, _, info = dsyevr(
-        sym.T, range="I", il=1, iu=count, lower=1, lwork=lwork, liwork=liwork,
-        overwrite_a=1)
+        m, range="I", il=1, iu=count, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
     return SymEigenResult(

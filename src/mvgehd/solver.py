@@ -76,10 +76,11 @@ the graph:
     taken from LOBPCG; a step that misses it is redone dense. Eigenvalues
     are put in ascending order and the sign convention of mvgehd.linalg
     applies, as on the dense path.
-  - dense otherwise: the m reweighted operators are built one at a time
-    and added into one n-by-n sum, and a subset eigh returns the k + 1
-    smallest eigenpairs. This path is the oracle the matrix-free one is
-    tested against, and the faster one on small graphs.
+  - dense otherwise: BLAS dsyrk adds each view's alpha_v M_v^T Q_v M_v, as
+    C_v^T C_v with C_v = sqrt(alpha_v q_v) o M_v, into the lower triangle of
+    one n-by-n sum; a subset eigh that reads only that triangle returns the
+    k + 1 smallest eigenpairs. This path is the oracle the matrix-free one
+    is tested against, and the faster one on small graphs.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class ViewOperator:
     W (row i of A divided by d_i) is never formed: W X is applied as
     (A X) / d and W^T Z as A^T (Z / d), which hold for any A. `affinity` is
     the view itself, not a copy, unless isolated nodes were given
-    self-loops (see mvgehd.graph.affinity_and_degrees). The contrast
-    M = I - W is formed only by laplacian, for the dense eigen-step.
+    self-loops (see mvgehd.graph.affinity_and_degrees). M = I - W is
+    formed, row-scaled, only by add_operator, for the dense eigen-step.
     """
     affinity: np.ndarray
     degrees: np.ndarray
@@ -179,18 +180,20 @@ class ViewOperator:
                 f"embedding has {f.shape[0]} rows for a {self.affinity.shape[0]}-node view")
         return f - (self.affinity @ f) / self.degrees[:, None]
 
-    def laplacian(self, row_weights: np.ndarray) -> np.ndarray:
-        """Reweighted walk operator L = M^T Q M, Q = diag(row_weights)."""
-        q = np.asarray(row_weights, dtype=np.float64)
-        if np.any(q <= 0) or not np.all(np.isfinite(q)):
-            raise ValueError("row weights must be positive and finite")
-        n = self.affinity.shape[0]
-        if q.shape != (n,):
-            raise ValueError(f"expected {n} row weights, got shape {q.shape}")
-        contrast = np.eye(n) - self.affinity / self.degrees[:, None]
-        lap = contrast.T @ (q[:, None] * contrast)
-        # Symmetrize away the last-ulp drift of the triple product.
-        return (lap + lap.T) / 2.0
+    def add_operator(self, total: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
+        """Add M^T S M, S = diag(row_scale), into the lower triangle of the
+        n-by-n `total` and return it, updated in place if Fortran-ordered.
+
+        M^T S M = C^T C for C = sqrt(S) M, formed in one n-by-n buffer;
+        BLAS dsyrk adds C^T C to one triangle and leaves the other as it was.
+        """
+        from scipy.linalg.blas import dsyrk
+
+        root = np.sqrt(row_scale)
+        contrast = self.affinity * (-root / self.degrees)[:, None]
+        contrast.flat[::contrast.shape[0] + 1] += root
+        # contrast.T is C^T in Fortran order, which dsyrk reads without a copy.
+        return dsyrk(1.0, contrast.T, beta=1.0, c=total, lower=1, overwrite_c=1)
 
     def apply(self, block: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
         """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix."""
@@ -356,9 +359,9 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
         f_next = (_matrix_free_embedding(ops, row_weights, weights, start)
                   if matrix_free else None)
         if f_next is None:
-            total = np.zeros((n, n))
+            total = np.zeros((n, n), order="F")
             for op, q, w in zip(ops, row_weights, weights):
-                total += float(w) * op.laplacian(q)
+                total = op.add_operator(total, float(w) * q)
             f_next = smallest_eigenpairs(total, config.k + 1).eigenvectors[:, 1:]
         return f_next
 

@@ -167,17 +167,35 @@ class TestHubsCommand:
     @pytest.mark.parametrize("method, threshold", [
         ("row_norm", "nan"), ("betweenness", "nan"), ("betweenness", "-1"),
     ])
-    def test_bad_threshold_rejected(self, generated, tmp_path, capsys, method, threshold):
+    def test_bad_threshold_rejected(self, generated, tmp_path, capsys, monkeypatch,
+                                    method, threshold):
         embedding = tmp_path / "embedding.csv"
         save_matrix_csv(np.array([[0.4], [0.1], [0.9]]), embedding)
         source = {"row_norm": ["--embedding", embedding],
                   "betweenness": ["--manifest", generated / "manifest.json"]}[method]
+        calls = []
+        real = mvgehd.cli.betweenness
+        monkeypatch.setattr(mvgehd.cli, "betweenness",
+                            lambda view: calls.append(1) or real(view))
         out = tmp_path / "h.json"
         code = run("hubs", "--method", method, *source, "--hub-threshold", threshold,
                    "--out", out)
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "threshold" in err["message"]
+        assert not out.exists()
+        # The threshold is checked before the O(n^3) scoring.
+        assert calls == []
+
+    def test_non_finite_embedding_rejected(self, tmp_path, capsys):
+        embedding = tmp_path / "embedding.csv"
+        save_matrix_csv(np.array([[0.4], [np.nan], [0.9]]), embedding)
+        out = tmp_path / "h.json"
+        code = run("hubs", "--method", "row_norm", "--embedding", embedding,
+                   "--hub-top", 1, "--out", out)
+        assert code != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "embedding contains non-finite entries"}
         assert not out.exists()
 
     def test_betweenness_reads_only_its_view(self, generated, tmp_path):

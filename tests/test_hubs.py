@@ -128,6 +128,13 @@ class TestHubScores:
         want = [np.sqrt(sum(x * x for x in row)) for row in f]
         np.testing.assert_allclose(hub_scores(f), want, rtol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        f = np.ones((3, 2))
+        f[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hub_scores(f)
+
 
 class TestSelectHubs:
     def test_top_two_smallest(self):

@@ -152,35 +152,84 @@ class TestSmoothedRowNormSum:
             smoothed_row_norm_sum(np.zeros((2, 1)), 0.0)
 
 
-class TestViewLaplacian:
-    """ViewOperator.laplacian: M^T Q M with M = I - W."""
+def laplacian(op, row_weights):
+    """M^T Q M with M = I - W and Q = diag(row_weights), formed in full and
+    symmetrized: the oracle for ViewOperator's dense build, diagonal and
+    apply."""
+    n = op.affinity.shape[0]
+    contrast = np.eye(n) - op.affinity / op.degrees[:, None]
+    lap = contrast.T @ (row_weights[:, None] * contrast)
+    return (lap + lap.T) / 2.0
+
+
+def lower_operator(op, row_scale):
+    """The lower triangle of M^T S M as add_operator builds it into a zero sum."""
+    n = op.affinity.shape[0]
+    return np.tril(op.add_operator(np.zeros((n, n), order="F"), row_scale))
+
+
+def case_operator(rng, case, n=9):
+    """A random view's operator; `case` adds a partial self-loop, an isolated
+    node given a self-loop, or a one-directional edge within SYMMETRY_TOL."""
+    a = random_affinity(rng, n)
+    policy = "error"
+    if case == "partial_loop":
+        a[2, 2] = 0.7
+    elif case == "isolated":
+        a[2, :] = a[:, 2] = 0.0
+        policy = "self_loop"
+    elif case == "asymmetric":
+        # Validation lets a one-directional edge through within
+        # SYMMETRY_TOL; only W^T = (A / d)^T, not W, applies it right.
+        a[3, 5], a[5, 3] = 0.0, SYMMETRY_TOL / 2
+        a = MultiViewGraph(views=(a,)).views[0]
+    return ViewOperator.from_view(a, isolated_policy=policy)
+
+
+OPERATOR_CASES = ["random", "partial_loop", "isolated", "asymmetric"]
+
+
+class TestViewAddOperator:
+    """ViewOperator.add_operator: M^T S M added into a lower triangle."""
 
     def test_two_node_hand_computation(self):
-        got = ViewOperator.from_view(SWAP).laplacian(np.array([0.5, 0.5]))
-        np.testing.assert_allclose(got, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
+        got = lower_operator(ViewOperator.from_view(SWAP), np.array([0.5, 0.5]))
+        np.testing.assert_allclose(got, [[1.0, 0.0], [-1.0, 1.0]], atol=1e-15)
 
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            ViewOperator.from_view(SWAP).laplacian(np.array([0.0, 0.5]))
+    @pytest.mark.parametrize("case", OPERATOR_CASES)
+    def test_matches_oracle(self, case):
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            op = case_operator(rng, case)
+            s = rng.uniform(0.1, 2.0, size=9)
+            np.testing.assert_allclose(lower_operator(op, s), np.tril(laplacian(op, s)),
+                                       rtol=0, atol=1e-12)
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="row weights"):
-            ViewOperator.from_view(SWAP).laplacian(np.ones(3))
+    def test_adds_in_place_and_keeps_the_upper_triangle(self):
+        rng = np.random.default_rng(34)
+        op = case_operator(rng, "random")
+        s = rng.uniform(0.1, 2.0, size=9)
+        start = rng.normal(size=(9, 9))
+        total = np.asfortranarray(start)
+        got = op.add_operator(total, s)
+        assert got is total
+        np.testing.assert_array_equal(np.triu(got, 1), np.triu(start, 1))
+        np.testing.assert_allclose(np.tril(got), np.tril(start + laplacian(op, s)),
+                                   rtol=0, atol=1e-12)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = random_affinity(rng, 6)
-            q = rng.uniform(0.1, 2.0, size=6)
-            lap = ViewOperator.from_view(a).laplacian(q)
-            np.testing.assert_allclose(lap, lap.T, atol=1e-12)
-            assert np.linalg.eigvalsh(lap).min() >= -1e-10
+            op = ViewOperator.from_view(random_affinity(rng, 6))
+            lower = lower_operator(op, rng.uniform(0.1, 2.0, size=6))
+            assert np.linalg.eigvalsh(lower, UPLO="L").min() >= -1e-10
 
     def test_kernel_contains_constants(self):
         rng = np.random.default_rng(4)
-        a = random_affinity(rng, 8)
-        lap = ViewOperator.from_view(a).laplacian(rng.uniform(0.5, 1.5, size=8))
-        np.testing.assert_allclose(lap @ np.ones(8), np.zeros(8), atol=1e-12)
+        op = ViewOperator.from_view(random_affinity(rng, 8))
+        lower = lower_operator(op, rng.uniform(0.5, 1.5, size=8))
+        full = lower + np.tril(lower, -1).T
+        np.testing.assert_allclose(full @ np.ones(8), np.zeros(8), atol=1e-12)
 
 
 class TestViewDiagonal:
@@ -192,7 +241,7 @@ class TestViewDiagonal:
             a = random_affinity(rng, 9)
             q = rng.uniform(0.1, 2.0, size=9)
             op = ViewOperator.from_view(a)
-            np.testing.assert_allclose(op.diagonal(q), np.diag(op.laplacian(q)),
+            np.testing.assert_allclose(op.diagonal(q), np.diag(laplacian(op, q)),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("loop", ["partial", "isolated"])
@@ -207,33 +256,21 @@ class TestViewDiagonal:
             op = ViewOperator.from_view(a, isolated_policy="self_loop")
         assert op.affinity[2, 2] != 0
         q = rng.uniform(0.1, 2.0, size=8)
-        np.testing.assert_allclose(op.diagonal(q), np.diag(op.laplacian(q)),
+        np.testing.assert_allclose(op.diagonal(q), np.diag(laplacian(op, q)),
                                    rtol=0, atol=1e-12)
 
 
 class TestViewApply:
-    """ViewOperator.apply: M^T S M X, checked against laplacian(s) @ X."""
+    """ViewOperator.apply: M^T S M X, checked against laplacian(op, s) @ X."""
 
-    @pytest.mark.parametrize("case", ["random", "partial_loop", "isolated", "asymmetric"])
+    @pytest.mark.parametrize("case", OPERATOR_CASES)
     def test_matches_dense_operator(self, case):
         rng = np.random.default_rng(32)
         for _ in range(3):
-            a = random_affinity(rng, 9)
-            policy = "error"
-            if case == "partial_loop":
-                a[2, 2] = 0.7
-            elif case == "isolated":
-                a[2, :] = a[:, 2] = 0.0
-                policy = "self_loop"
-            elif case == "asymmetric":
-                # Validation lets a one-directional edge through within
-                # SYMMETRY_TOL; only W^T = (A / d)^T, not W, applies it right.
-                a[3, 5], a[5, 3] = 0.0, SYMMETRY_TOL / 2
-                a = MultiViewGraph(views=(a,)).views[0]
-            op = ViewOperator.from_view(a, isolated_policy=policy)
+            op = case_operator(rng, case)
             s = rng.uniform(0.1, 2.0, size=9)
             x = rng.normal(size=(9, 4))
-            np.testing.assert_allclose(op.apply(x, s), op.laplacian(s) @ x,
+            np.testing.assert_allclose(op.apply(x, s), laplacian(op, s) @ x,
                                        rtol=0, atol=1e-12)
 
 
