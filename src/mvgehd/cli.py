@@ -17,14 +17,19 @@ machine-readable JSON object to stderr and exit nonzero.
 
 Cohort commands (cluster-subjects, sweep-k) load every subject once and run
 the per-subject embeddings, and sweep-k's per-k scoring, on a pool of worker
-processes started with fork. The MVGEHD_THREADS environment variable caps the
-worker processes (default: the cores this process may run on); it is checked
-before any subject is loaded.
+processes started with fork. generate, embed and hubs --method betweenness
+write or read the view files that are larger than graph.BLOCK_BYTES in
+blocks of rows on such a pool, of at most 8 workers, which is made only
+when a file has more than one block. The MVGEHD_THREADS environment
+variable caps the worker processes (default: the cores this process may
+run on); it is checked before any view file is read or written, and at 1
+no worker starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import multiprocessing
@@ -114,12 +119,67 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
 
 @contextlib.contextmanager
 def _process_pool(workers: int):
-    """`workers` worker processes for one cohort command.
+    """A pool of `workers` worker processes, which start at its first task.
 
-    Threads would serialize the many small solves on the interpreter lock.
-    Fork, named explicitly, starts workers fastest and needs no `__main__`
-    guard in callers that run `main` in-process; each worker inherits the
-    imported package and runs only pure functions of its pickled arguments.
+    Threads would serialize the work, which is Python code, on the
+    interpreter lock. Fork, named explicitly, starts workers fastest and
+    needs no `__main__` guard in callers that run `main` in-process; each
+    worker inherits the imported package and runs the functions it is
+    handed on their pickled arguments. On an error, work not yet handed to
+    a worker is cancelled.
+    """
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# Most workers a command starts for file blocks. With one block queued
+# beyond them, the parent holds at most 9 of a file's 64 blocks
+# (graph.FILE_BLOCKS), about 0.3 of a view's 8 n^2 bytes as text.
+_FILE_WORKERS = 8
+
+
+@contextlib.contextmanager
+def _file_mapper():
+    """The map that parses and formats the row blocks of large matrix files.
+
+    With MVGEHD_THREADS=1 it is the builtin map. Otherwise it runs the
+    blocks on a pool of up to _FILE_WORKERS workers, made at its first
+    call, so a command whose files each fit in one block makes none. It
+    keeps one block more than the workers in flight and yields the results
+    in order, so the parent holds a few blocks' results, never every block
+    done ahead of a slow one. The workers import nothing after the fork: a
+    block needs numpy alone.
+    """
+    workers = min(_worker_count(), _FILE_WORKERS)
+    if workers == 1:
+        yield map
+        return
+    with contextlib.ExitStack() as stack:
+        pool = None
+
+        def mapper(fn, *iterables):
+            nonlocal pool
+            if pool is None:
+                pool = stack.enter_context(_process_pool(workers))
+            in_flight = collections.deque()
+            for args in zip(*iterables):
+                in_flight.append(pool.submit(fn, *args))
+                if len(in_flight) > workers:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+
+        yield mapper
+
+
+@contextlib.contextmanager
+def _cohort_pool(workers: int):
+    """The process pool of a cohort command.
+
     The package imports SciPy only inside the functions that call it, so
     every SciPy module a worker can reach is imported here, once, before
     the fork: `scipy.linalg` for the dense eigen-steps of a solve and the
@@ -128,19 +188,14 @@ def _process_pool(workers: int):
     (`metrics.hungarian`) is numpy alone. Otherwise every worker of every
     pool imports them again on its first task, about 0.5 s of CPU each: on
     the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
-    On an error, work not yet handed to a worker is cancelled. Workers keep
-    the BLAS library's default thread count, so subjects with n >= 200,
-    whose solves run BLAS-threaded matrix products, would oversubscribe the
-    cores with several BLAS threads per worker.
+    Workers keep the BLAS library's default thread count, so subjects with
+    n >= 200, whose solves run BLAS-threaded matrix products, would
+    oversubscribe the cores with several BLAS threads per worker.
     """
     import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
 
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
+    with _process_pool(workers) as pool:
         yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _solve_embedding(graph, config: EmbedConfig) -> np.ndarray:
@@ -172,27 +227,30 @@ def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
 def cmd_generate(args: argparse.Namespace) -> None:
     out = Path(args.out)
     spec_a = _spec_from_args(args)
-    if args.cohort is None:
-        graph, truth = generate_multiview(spec_a)
-        _amend_json(save_multiview(graph, out), args)
-        _write_json(out / "truth.json", asdict(truth), args)
-        return
-    try:
-        count_a, count_b = (int(x) for x in args.cohort.split(","))
-    except ValueError:
-        raise ValueError(f"--cohort must be NA,NB (two integers), got {args.cohort!r}") from None
-    spec_b = _spec_from_args(args, side="b")
-    subjects, labels = generate_cohort(spec_a, spec_b, count_a, count_b)
-    manifest_paths = []
-    for i, graph in enumerate(subjects):
-        manifest = save_multiview(graph, out / f"subject_{i:03d}")
-        manifest_paths.append(str(manifest.relative_to(out)))
+    with _file_mapper() as mapper:
+        if args.cohort is None:
+            graph, truth = generate_multiview(spec_a)
+            _amend_json(save_multiview(graph, out, mapper), args)
+            _write_json(out / "truth.json", asdict(truth), args)
+            return
+        try:
+            count_a, count_b = (int(x) for x in args.cohort.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--cohort must be NA,NB (two integers), got {args.cohort!r}") from None
+        spec_b = _spec_from_args(args, side="b")
+        subjects, labels = generate_cohort(spec_a, spec_b, count_a, count_b)
+        manifest_paths = []
+        for i, graph in enumerate(subjects):
+            manifest = save_multiview(graph, out / f"subject_{i:03d}", mapper)
+            manifest_paths.append(str(manifest.relative_to(out)))
     _write_json(out / "cohort.json", {"subjects": manifest_paths, "labels": labels}, args)
     _write_json(out / "cohort_truth.json", {"labels": labels}, args)
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
-    graph = load_multiview(args.manifest)
+    with _file_mapper() as mapper:
+        graph = load_multiview(args.manifest, mapper)
     config = _embed_config(args)
     embedding, alphas, trace = solve(graph, config)
     out = Path(args.out)
@@ -217,7 +275,8 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         paths, transform, _ = read_manifest(args.manifest)
         if not 0 <= args.view < len(paths):
             raise ValueError(f"--view {args.view} out of range for {len(paths)} views")
-        data, score = load_view(paths[args.view], transform), betweenness
+        with _file_mapper() as mapper:
+            data, score = load_view(paths[args.view], transform, mapper), betweenness
     # Checked before scoring, which for betweenness is O(n^3).
     check_selection(len(data), top=args.hub_top, threshold=args.hub_threshold)
     report = hub_report(score(data), args.method, top=args.hub_top,
@@ -251,7 +310,7 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
         raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
     graphs = [load_multiview(p) for p in manifests]
-    with _process_pool(workers) as pool:
+    with _cohort_pool(workers) as pool:
         embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
     labels = cluster_subjects(embeddings, args.k, kmeans_config)
     _write_json(args.out, {"k": args.k, "labels": labels}, args)
@@ -299,7 +358,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
     graphs = [load_multiview(p) for p in manifests]
-    with _process_pool(workers) as pool:
+    with _cohort_pool(workers) as pool:
         # Every solve is queued before any result is awaited, so workers do
         # not idle between ks. The pool runs tasks first in, first out, so
         # each k's scoring starts only after every solve queued before it.

@@ -1,14 +1,19 @@
 """End-to-end command-line flows in temporary directories."""
 
+import contextlib
 import dataclasses
 import json
 import os
+from concurrent.futures import Future
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvgehd.cli
-from mvgehd.cli import _embed_config, _spec_from_args, _worker_count, build_parser, main
+from mvgehd.cli import (_embed_config, _file_mapper, _spec_from_args, _worker_count,
+                        build_parser, main)
 from mvgehd.clustering import KMeansConfig
 from mvgehd.graph import load_matrix_csv, save_matrix_csv
 from mvgehd.solver import EmbedConfig
@@ -465,6 +470,62 @@ class TestSubjectPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IsolatedNodeError"
         assert err["message"] == "node 7 has zero degree (isolated)"
+
+
+class TestRowBlockFiles:
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # Each view file of this n = 40 graph is more than 4 KiB, so it goes
+        # to the workers in blocks of at most one row.
+        monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 4096)
+        trees = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MVGEHD_THREADS", workers)
+            run_dir = tmp_path / workers
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            assert run("generate", "--out", "g", "--n", 40, "--clusters", 3, "--hubs", 3,
+                       "--views", 2, "--seed", 5) == 0
+            assert Path("g/view_0.csv").stat().st_size > 4 * 4096
+            assert run("embed", "--manifest", "g/manifest.json", "--k", 2, "--out", "emb") == 0
+            assert run("hubs", "--method", "betweenness", "--manifest", "g/manifest.json",
+                       "--hub-top", 3, "--out", "betweenness.json") == 0
+            trees.append({str(f.relative_to(".")): f.read_bytes()
+                          for f in sorted(Path(".").rglob("*")) if f.is_file()})
+        assert len(trees[0]) == 8
+        assert trees[0] == trees[1]
+
+    def test_files_of_one_block_make_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr("mvgehd.cli._process_pool", no_pool)
+        monkeypatch.setenv("MVGEHD_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "--out", "g", "--n", 40, "--clusters", 3, "--hubs", 3,
+                   "--seed", 5) == 0
+        assert run("embed", "--manifest", "g/manifest.json", "--k", 2, "--out", "emb") == 0
+        assert run("hubs", "--method", "betweenness", "--manifest", "g/manifest.json",
+                   "--hub-top", 3, "--out", "betweenness.json") == 0
+
+    def test_file_mapper_keeps_one_task_beyond_the_workers_in_flight(self, monkeypatch):
+        submitted = []
+
+        class ResolvingPool:
+            def submit(self, fn, *args):
+                submitted.append(args)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        @contextlib.contextmanager
+        def resolving_pool(workers):
+            yield ResolvingPool()
+
+        monkeypatch.setattr("mvgehd.cli._process_pool", resolving_pool)
+        monkeypatch.setenv("MVGEHD_THREADS", "2")
+        with _file_mapper() as mapper:
+            seen = [(result, len(submitted)) for result in mapper(pow, range(6), repeat(2))]
+        assert seen == [(0, 3), (1, 4), (4, 5), (9, 6), (16, 6), (25, 6)]
 
 
 class TestWorkerCount:

@@ -1,11 +1,15 @@
 """Graph representation, validation, normalization, and file round-trips."""
 
+import io
 import json
+import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import mvgehd.graph
 from mvgehd.graph import (
     GraphValidationError,
     IsolatedNodeError,
@@ -14,6 +18,7 @@ from mvgehd.graph import (
     apply_transform,
     load_matrix_csv,
     load_multiview,
+    load_view,
     save_matrix_csv,
     save_multiview,
     validate_affinity,
@@ -209,6 +214,26 @@ class TestManifestIO:
         with pytest.raises(GraphValidationError, match="node"):
             load_multiview(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"transform": "clamp"}, "unknown transform 'clamp'"),
+        ({"views": ["m0.csv", 5]}, "must list file paths, got 5"),
+    ], ids=["unknown_transform", "non_string_view"])
+    def test_manifest_checked_before_any_view_is_parsed(self, tmp_path, monkeypatch,
+                                                         fields, message):
+        path = write_manifest(tmp_path, [np.ones((3, 3)) - np.eye(3)])
+        path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+        parsed = []
+        load = mvgehd.graph.load_matrix_csv
+
+        def counting_load(*args, **kwargs):
+            parsed.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr("mvgehd.graph.load_matrix_csv", counting_load)
+        with pytest.raises(GraphValidationError, match=message):
+            load_multiview(path)
+        assert parsed == []
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 1, size=(7, 7))
@@ -238,3 +263,164 @@ class TestManifestIO:
         assert (tmp_path / "m.csv").read_bytes() == want.encode()
         got = load_matrix_csv(tmp_path / "m.csv")
         assert got.tobytes() == m.tobytes()
+
+
+def use_small_blocks(monkeypatch):
+    """Cut the files below, of more than 320 bytes, into 4 blocks, each of
+    at least one data row: a block spans more than a data line plus a
+    comment line."""
+    monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 320)
+    monkeypatch.setattr("mvgehd.graph.FILE_BLOCKS", 4)
+
+
+def matrix_lines(n=8):
+    """n CSV lines of n values: random floats, -0.0, 1e-300 and integers."""
+    rng = np.random.default_rng(7)
+    rows = [[repr(float(x)) for x in rng.uniform(-1, 1, n)] for _ in range(n)]
+    rows[0][1], rows[2][3], rows[4][5], rows[6][0] = "-0.0", "1e-300", "3", "-12"
+    return [",".join(row) for row in rows]
+
+
+LAYOUTS = {
+    "lf": lambda lines: "\n".join(lines) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "comment_lines": lambda lines: "# head\n" + "".join(
+        f"{line}\n# after {i}\n" for i, line in enumerate(lines)),
+    "blank_lines": lambda lines: "\n" + "".join(f"{line}\n\n" for line in lines),
+    "no_final_newline": lambda lines: "\n".join(lines),
+}
+
+
+def whole_file_parse(path):
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as executor:
+        yield executor
+
+
+def in_process_map(fn, *iterables):
+    """Blocks run one after another in this process. Unlike the builtin
+    map, which gets no blocks, it takes the block path."""
+    return map(fn, *iterables)
+
+
+@pytest.fixture(params=["in_process", "pool"])
+def mapper(request):
+    return in_process_map if request.param == "in_process" else request.getfixturevalue("pool").map
+
+
+class TestRowBlocks:
+    """Large matrix files go through blocks of rows; the results, files and
+    errors are those of the whole-file path."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_read_equals_the_whole_file_parse(self, tmp_path, monkeypatch, mapper,
+                                              layout):
+        path = tmp_path / "m.csv"
+        path.write_bytes(LAYOUTS[layout](matrix_lines()).encode())
+        use_small_blocks(monkeypatch)
+        assert len(mvgehd.graph._byte_blocks(path)) == 4
+        want = whole_file_parse(path)
+        # The blocks themselves make the matrix: no whole-file re-read.
+        blocks = mvgehd.graph._load_blocks(path, mapper)
+        assert blocks is not None and blocks.tobytes() == want.tobytes()
+        got = load_matrix_csv(path, mapper)
+        assert got.shape == want.shape == (8, 8)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_square_file_is_read_whole(self, tmp_path, monkeypatch, mapper):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(matrix_lines() + matrix_lines()[:3]) + "\n")
+        use_small_blocks(monkeypatch)
+        assert mvgehd.graph._load_blocks(path, mapper) is None
+        got = load_matrix_csv(path, mapper)
+        assert got.shape == (11, 8)
+        assert got.tobytes() == whole_file_parse(path).tobytes()
+
+    @pytest.mark.parametrize("kind", ["ragged", "non_numeric", "missing",
+                                      "more_rows", "fewer_rows"])
+    def test_errors_are_the_whole_file_errors(self, tmp_path, monkeypatch, mapper, kind):
+        lines = matrix_lines()
+        if kind == "ragged":
+            lines[6] = lines[6].rsplit(",", 1)[0]
+        elif kind == "non_numeric":
+            lines[6] = "x," + lines[6].split(",", 1)[1]
+        elif kind == "more_rows":
+            lines += lines[:2]
+        elif kind == "fewer_rows":
+            lines = lines[:-2]
+        path = tmp_path / "m.csv"
+        if kind != "missing":
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(Exception) as whole:
+            load_view(path, "reject")
+        use_small_blocks(monkeypatch)
+        with pytest.raises(Exception) as blocked:
+            load_view(path, "reject", mapper)
+        assert type(blocked.value) is type(whole.value)
+        # loadtxt numbers rows within what it parses, so a block's own error
+        # would name another row than the whole file's.
+        assert str(blocked.value) == str(whole.value)
+
+    def test_write_is_byte_identical(self, tmp_path, monkeypatch, mapper):
+        m = whole_file_parse(LAYOUTS["lf"](matrix_lines()).splitlines())
+        m = np.vstack([m, -m, m[::-1] * 1e-300])
+        save_matrix_csv(m, tmp_path / "rows.csv")
+        use_small_blocks(monkeypatch)
+        handed = []
+
+        def counting_mapper(fn, blocks):
+            blocks = list(blocks)
+            handed.append(len(blocks))
+            return mapper(fn, blocks)
+
+        save_matrix_csv(m, tmp_path / "blocks.csv", counting_mapper)
+        assert handed[0] == 4
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_reads_what_loadtxt_reads(self, monkeypatch, mapper):
+        monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 1)
+        for source in (["1,2", "3,4"], io.StringIO("1,2\n3,4\n")):
+            assert load_matrix_csv(source, mapper).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_one_block_is_written_a_row_at_a_time(self, tmp_path):
+        def failing_mapper(fn, blocks):
+            raise AssertionError("a one-block matrix was handed to the mapper")
+
+        m = np.arange(12.0).reshape(3, 4)
+        save_matrix_csv(m, tmp_path / "m.csv", failing_mapper)
+        assert (tmp_path / "m.csv").read_text() == "".join(
+            ",".join(repr(float(x)) for x in row) + "\n" for row in m)
+
+    def test_builtin_map_gets_no_blocks(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text(LAYOUTS["lf"](matrix_lines()))
+        use_small_blocks(monkeypatch)
+        blocked = []
+        monkeypatch.setattr("mvgehd.graph._load_blocks", lambda *args: blocked.append(args))
+        assert load_matrix_csv(path).tobytes() == whole_file_parse(path).tobytes()
+        assert blocked == []
+        m = whole_file_parse(path)
+        monkeypatch.setattr("mvgehd.graph._rows_text", lambda rows: blocked.append(rows) or b"")
+        save_matrix_csv(m, tmp_path / "rows.csv")
+        assert [len(rows) for rows in blocked] == [1] * len(m)
+
+    def test_multiview_round_trip(self, tmp_path, monkeypatch, mapper):
+        rng = np.random.default_rng(3)
+        views = []
+        for _ in range(2):
+            a = rng.uniform(0, 1, size=(12, 12))
+            a = (a + a.T) / 2
+            np.fill_diagonal(a, 0.0)
+            views.append(a)
+        g = MultiViewGraph(views=tuple(views))
+        rows = save_multiview(g, tmp_path / "rows")
+        use_small_blocks(monkeypatch)
+        blocks = save_multiview(g, tmp_path / "blocks", mapper)
+        for name in ("manifest.json", "view_0.csv", "view_1.csv"):
+            assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
+        loaded = load_multiview(blocks, mapper)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded.views, g.views))

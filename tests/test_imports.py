@@ -1,5 +1,6 @@
-"""SciPy is loaded only by the stages that call it, and cohort workers
-inherit it from their parent rather than importing it after the fork.
+"""SciPy is loaded only by the stages that call it, cohort workers
+inherit it from their parent rather than importing it after the fork, and
+the workers that parse and format large view files import nothing.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported SciPy.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import mvgehd
+import mvgehd.graph
 from mvgehd.cli import main
 
 SRC = Path(mvgehd.__file__).resolve().parent.parent
@@ -89,6 +91,37 @@ print(json.dumps({{"code": code, "pid": os.getpid(), "scipy": {SCIPY_MODULES}}})
 """
 
 
+# Runs `main` with the functions that parse and format a block of rows
+# wrapped to log, per block, the process and the SciPy modules it holds.
+WATCH_BLOCKS = f"""
+import json, os, sys
+import mvgehd.cli, mvgehd.graph
+
+LOG = os.environ["WATCH_LOG"]
+rows_text, parse_rows = mvgehd.graph._rows_text, mvgehd.graph._parse_rows
+
+def logged(task, args):
+    try:
+        return task(*args)
+    finally:
+        with open(LOG, "a") as log:
+            log.write(json.dumps([os.getpid(), {SCIPY_MODULES}]) + "\\n")
+
+def watched_rows_text(*args):
+    return logged(rows_text, args)
+
+def watched_parse_rows(*args):
+    return logged(parse_rows, args)
+
+mvgehd.graph._rows_text, mvgehd.graph._parse_rows = watched_rows_text, watched_parse_rows
+print(json.dumps({{"code": mvgehd.cli.main(sys.argv[1:]), "pid": os.getpid()}}))
+"""
+
+# Views at this n are 4.6 MB, more than graph.BLOCK_BYTES, so each is
+# graph.FILE_BLOCKS blocks.
+BLOCKS_N = 500
+
+
 def fresh(script, *args, **env):
     environ = dict(os.environ, **env)
     environ["PYTHONPATH"] = os.pathsep.join(
@@ -99,8 +132,8 @@ def fresh(script, *args, **env):
     return json.loads(done.stdout)
 
 
-def run_main(*argv):
-    result = fresh(RUN_MAIN, *argv)
+def run_main(*argv, **env):
+    result = fresh(RUN_MAIN, *argv, **env)
     assert result["code"] == 0
     return result["scipy"]
 
@@ -123,16 +156,51 @@ def test_import_loads_no_scipy(module):
     assert fresh(f"import json, sys, {module}; print(json.dumps({SCIPY_MODULES}))") == []
 
 
-@pytest.mark.parametrize("stage", ["generate", "hubs", "cluster-nodes", "evaluate"])
+@pytest.mark.parametrize("stage", ["generate", "generate-blocks", "hubs", "cluster-nodes",
+                                   "evaluate"])
 def test_stage_loads_no_scipy(small, tmp_path, stage):
     embedding = small / "emb" / "embedding.csv"
     argv = {
-        "generate": ["--n", 40, "--clusters", 2, "--hubs", 2, "--seed", 3],
-        "hubs": ["--method", "row_norm", "--embedding", embedding, "--hub-top", 2],
-        "cluster-nodes": ["--embedding", embedding, "--k", 2, "--seed", 0],
-        "evaluate": ["--pred", small / "labels.json", "--truth", small / "g" / "truth.json"],
+        "generate": ["generate", "--n", 40, "--clusters", 2, "--hubs", 2, "--seed", 3],
+        # Written in blocks on two worker processes.
+        "generate-blocks": ["generate", "--n", BLOCKS_N, "--clusters", 4, "--hubs", 6,
+                            "--seed", 5],
+        "hubs": ["hubs", "--method", "row_norm", "--embedding", embedding, "--hub-top", 2],
+        "cluster-nodes": ["cluster-nodes", "--embedding", embedding, "--k", 2, "--seed", 0],
+        "evaluate": ["evaluate", "--pred", small / "labels.json",
+                     "--truth", small / "g" / "truth.json"],
     }[stage]
-    assert run_main(stage, *argv, "--out", tmp_path / "out") == []
+    assert run_main(*argv, "--out", tmp_path / "out", MVGEHD_THREADS="2") == []
+
+
+@pytest.fixture(scope="module")
+def blocks_graph(tmp_path_factory):
+    """An n = BLOCKS_N graph, whose view files are more than one block."""
+    out = tmp_path_factory.mktemp("blocks") / "g"
+    assert main(["generate", "--out", str(out), "--n", str(BLOCKS_N), "--clusters", "4",
+                 "--hubs", "6", "--views", "2", "--seed", "5"]) == 0
+    assert (out / "view_0.csv").stat().st_size > 2 * mvgehd.graph.BLOCK_BYTES
+    return out
+
+
+@pytest.mark.parametrize("command", ["generate", "embed", "hubs"])
+def test_block_workers_import_nothing(blocks_graph, tmp_path, command):
+    manifest = blocks_graph / "manifest.json"
+    argv = {
+        "generate": ["--n", BLOCKS_N, "--clusters", 4, "--hubs", 6, "--seed", 5,
+                     "--out", tmp_path / "g"],
+        "embed": ["--manifest", manifest, "--k", 3, "--max-iters", 1, "--out", tmp_path / "emb"],
+        "hubs": ["--method", "betweenness", "--manifest", manifest, "--hub-top", 6,
+                 "--out", tmp_path / "hubs.json"],
+    }[command]
+    log = tmp_path / "blocks.jsonl"
+    result = fresh(WATCH_BLOCKS, command, *argv, WATCH_LOG=str(log), MVGEHD_THREADS="2")
+    assert result["code"] == 0
+    blocks = [json.loads(line) for line in log.read_text().splitlines()]
+    in_workers = [modules for pid, modules in blocks if pid != result["pid"]]
+    # At least two blocks of each view file; betweenness reads one view.
+    assert len(in_workers) >= (2 if command == "hubs" else 4)
+    assert in_workers == [[]] * len(in_workers)
 
 
 def test_small_embed_loads_only_dense_scipy(small, tmp_path):

@@ -1,7 +1,8 @@
 """Memory of the n-by-n layers: loading, matrix-free solving and writing
-hold the views plus at most one more n-by-n array's worth, a dense
-solve holds one n-by-n sum and one per-view buffer, and betweenness
-holds O(n^2).
+hold the views plus at most one more n-by-n array's worth, also when a
+process pool parses or formats the files' blocks of rows, a dense solve
+holds one n-by-n sum and one per-view buffer, and betweenness holds
+O(n^2).
 
 Peaks are measured with tracemalloc, which numpy reports its array
 buffers to, as bytes allocated above what was held before the call.
@@ -12,7 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgehd.graph import MultiViewGraph, load_multiview, save_matrix_csv, save_multiview
+from mvgehd.cli import _file_mapper
+from mvgehd.graph import (BLOCK_BYTES, MultiViewGraph, load_multiview, save_matrix_csv,
+                          save_multiview)
 from mvgehd.hubs import betweenness
 from mvgehd.solver import EmbedConfig, solve
 from mvgehd.synth import PlantedSpec, generate_multiview
@@ -104,6 +107,33 @@ def test_load_holds_the_views_plus_one(graph, tmp_path):
 def test_save_streams_rows(graph, tmp_path):
     _, peak = peak_above_start(lambda: save_matrix_csv(graph.views[0], tmp_path / "v.csv"))
     assert peak <= N * N
+
+
+@pytest.fixture(params=["2", "8"])
+def file_mapper(request, monkeypatch):
+    """The CLI's map for file blocks, on 2 workers or on the most it starts."""
+    monkeypatch.setenv("MVGEHD_THREADS", request.param)
+    with _file_mapper() as mapper:
+        yield mapper
+
+
+def test_pooled_load_holds_the_views_plus_one(graph, tmp_path, file_mapper):
+    manifest = save_multiview(graph, tmp_path / "g")
+    assert (tmp_path / "g" / "view_0.csv").stat().st_size > BLOCK_BYTES
+    loaded, peak = peak_above_start(lambda: load_multiview(manifest, file_mapper))
+    views = sum(v.nbytes for v in loaded.views)
+    assert views == graph.m * VIEW_BYTES
+    # Each block is copied into its view as it arrives, then dropped.
+    assert peak <= views + VIEW_BYTES + SLACK_BYTES
+
+
+def test_pooled_save_holds_at_most_one_view(graph, tmp_path, file_mapper):
+    _, peak = peak_above_start(
+        lambda: save_matrix_csv(graph.views[0], tmp_path / "v.csv", file_mapper))
+    assert (tmp_path / "v.csv").stat().st_size > BLOCK_BYTES
+    # The text of the blocks in flight between the workers and the file;
+    # the whole text is about 2 views' worth.
+    assert peak <= VIEW_BYTES
 
 
 @pytest.mark.parametrize("kind", ["weighted", "binary"])
