@@ -15,15 +15,16 @@ embeds the invoking configuration and the library version, so identical
 configs and seeds reproduce results bit for bit. Failures print a
 machine-readable JSON object to stderr and exit nonzero.
 
-Cohort commands (cluster-subjects, sweep-k) load every subject once and run
-the per-subject embeddings, and sweep-k's per-k scoring, on a pool of worker
-processes started with fork. generate, embed and hubs --method betweenness
-write or read the view files that are larger than graph.BLOCK_BYTES in
-blocks of rows on such a pool, of at most 8 workers, which is made only
-when a file has more than one block. The MVGEHD_THREADS environment
-variable caps the worker processes (default: the cores this process may
-run on); it is checked before any view file is read or written, and at 1
-no worker starts.
+Cohort commands (cluster-subjects, sweep-k) parse every subject once on a
+pool of worker processes started with fork, check that the subjects share
+one node count n with room for the embedding dimension, and then run the
+per-subject embeddings, and sweep-k's per-k scoring, on the same pool.
+generate, embed and hubs --method betweenness write or read the view files
+that are larger than graph.BLOCK_BYTES in blocks of rows on such a pool, of
+at most 8 workers, which is made only when a file has more than one block.
+The MVGEHD_THREADS environment variable caps the worker processes
+(default: the cores this process may run on); it is checked before any
+view file is read or written, and at 1 no worker starts.
 """
 
 from __future__ import annotations
@@ -202,6 +203,28 @@ def _solve_embedding(graph, config: EmbedConfig) -> np.ndarray:
     return solve(graph, config)[0]
 
 
+def _load_subject(manifest):
+    """One subject's graph, for a cohort pool's worker. The pool pickles
+    this function by name, and it looks `load_multiview` up in this module
+    when it runs, so the pool never pickles what that name is bound to."""
+    return load_multiview(manifest)
+
+
+def _load_cohort(pool, manifests: list, k: int, flag: str) -> list:
+    """Every subject's graph, parsed on `pool`. Raises unless the subjects
+    share one node count n and k, the value of `flag`, has k + 1 <= n,
+    which a solve or the scoring would otherwise find only after others."""
+    graphs = list(pool.map(_load_subject, manifests))
+    n = graphs[0].n
+    for manifest, graph in zip(manifests, graphs):
+        if graph.n != n:
+            raise ValueError(
+                f"subject {manifest} has {graph.n} nodes, but {manifests[0]} has {n}")
+    if k + 1 > n:
+        raise ValueError(f"need {flag} + 1 <= {n}, the subjects' node count, got {flag} {k}")
+    return graphs
+
+
 def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
     def pick(name):
         if side:
@@ -309,8 +332,8 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
     if not 1 <= args.k <= len(manifests):
         raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
-    graphs = [load_multiview(p) for p in manifests]
     with _cohort_pool(workers) as pool:
+        graphs = _load_cohort(pool, manifests, args.embed_k, "--embed-k")
         embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
     labels = cluster_subjects(embeddings, args.k, kmeans_config)
     _write_json(args.out, {"k": args.k, "labels": labels}, args)
@@ -357,8 +380,8 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
-    graphs = [load_multiview(p) for p in manifests]
     with _cohort_pool(workers) as pool:
+        graphs = _load_cohort(pool, manifests, args.k_max, "--k-max")
         # Every solve is queued before any result is awaited, so workers do
         # not idle between ks. The pool runs tasks first in, first out, so
         # each k's scoring starts only after every solve queued before it.

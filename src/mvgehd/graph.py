@@ -261,11 +261,15 @@ def _parse(source) -> np.ndarray:
 
 def _parse_rows(path, start: int, stop: int) -> np.ndarray:
     """The rows in bytes [start, stop) of a matrix file, decoded as
-    np.loadtxt decodes a whole file: the locale's encoding, any newline."""
+    np.loadtxt decodes a whole file: the locale's encoding, any newline.
+    A block of comment or blank lines alone holds no rows: np.loadtxt's
+    warning about it is silenced, and _load_blocks skips the block."""
     with open(path, "rb") as f:
         f.seek(start)
         text = io.TextIOWrapper(io.BytesIO(f.read(stop - start)))
-    return _parse(text)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return _parse(text)
 
 
 def _byte_blocks(path) -> list:
@@ -285,21 +289,24 @@ def _byte_blocks(path) -> list:
 
 def _load_blocks(path, mapper) -> np.ndarray | None:
     """A square matrix file parsed block by block by `mapper`, each block
-    copied in file order into one array as it arrives. None if the file is
-    one block, or if a block does not hold the next rows of a square."""
+    copied in file order into one array as it arrives; a block of no rows
+    is skipped. None if the file is one block, or if the blocks do not
+    hold the rows of a square."""
     blocks = _byte_blocks(path)
     if len(blocks) < 2:
         return None
     matrix, filled = None, 0
     starts, stops = zip(*blocks)
     for rows in mapper(_parse_rows, repeat(path), starts, stops):
+        if not len(rows):
+            continue
         if matrix is None:
             matrix = np.empty((rows.shape[1], rows.shape[1]))
         if rows.shape[1] != len(matrix) or filled + len(rows) > len(matrix):
             return None
         matrix[filled:filled + len(rows)] = rows
         filled += len(rows)
-    return matrix if filled == len(matrix) else None
+    return matrix if matrix is not None and filled == len(matrix) else None
 
 
 def load_matrix_csv(path, mapper=map) -> np.ndarray:

@@ -357,19 +357,26 @@ class TestSubjectPipeline:
         assert outputs[0] == outputs[1]
 
     def test_sweep_loads_each_subject_once(self, cohort_dir, tmp_path, monkeypatch):
-        loaded = []
+        # Subjects load on the pool's two workers, which fork after the
+        # patch and append a line per load to one file, so loads in every
+        # process are counted.
+        log = tmp_path / "loads.txt"
         load = mvgehd.cli.load_multiview
 
         def counting_load(path):
-            loaded.append(str(path))
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {path}\n")
             return load(path)
 
         monkeypatch.setattr("mvgehd.cli.load_multiview", counting_load)
+        monkeypatch.setenv("MVGEHD_THREADS", "2")
         assert run("sweep-k", "--cohort", cohort_dir / "cohort.json",
                    "--truth", cohort_dir / "cohort_truth.json",
                    "--k-min", 3, "--k-max", 5, "--repeats", 2,
                    "--seed", 0, "--out", tmp_path / "sweep.json") == 0
+        pids, loaded = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
         assert len(loaded) == 16 and len(set(loaded)) == 16
+        assert str(os.getpid()) not in pids
 
     @pytest.mark.parametrize("flags, message", [
         (["--k-min", 9, "--k-max", 5], "--k-min"),
@@ -454,6 +461,57 @@ class TestSubjectPipeline:
         assert err["error"] == "ValueError"
         assert err["message"] == f"MVGEHD_THREADS must be an integer >= 1, got '{threads}'"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_embedding_dimension_checked_before_any_solve(self, cohort_dir, tmp_path,
+                                                          capsys, monkeypatch, command):
+        # The cohort's subjects have 50 nodes, so k = 49 is the largest
+        # that leaves the bottom eigenvector to skip.
+        self.fail_any_solve(tmp_path, monkeypatch)
+        flags = {"cluster-subjects": ["--embed-k", 50],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
+                             "--k-min", 45, "--k-max", 50]}[command]
+        flag = flags[-2]
+        out = tmp_path / "out.json"
+        code = run(command, "--cohort", cohort_dir / "cohort.json", *flags, "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"need {flag} + 1 <= 50, the subjects' node count, got {flag} 50"}
+        assert not out.exists() and not (tmp_path / "solves.txt").exists()
+
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_node_counts_checked_before_any_solve(self, cohort_dir, tmp_path, capsys,
+                                                  monkeypatch, command):
+        # The third of four subjects has 40 nodes, the others 50.
+        other = tmp_path / "other"
+        assert run("generate", "--out", other, "--n", 40, "--clusters", 2, "--views", 2,
+                   "--seed", 3, "--cohort", "1,1") == 0
+        subjects = [cohort_dir / p for p in read(cohort_dir / "cohort.json")["subjects"]]
+        odd = other / read(other / "cohort.json")["subjects"][0]
+        cohort = tmp_path / "cohort.json"
+        cohort.write_text(json.dumps({"subjects": [str(p) for p in
+                                                   (subjects[0], subjects[1], odd, subjects[2])]}))
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"labels": [0, 0, 1, 1]}))
+        self.fail_any_solve(tmp_path, monkeypatch)
+        flags = {"cluster-subjects": ["--embed-k", 3],
+                 "sweep-k": ["--truth", truth, "--k-min", 3, "--k-max", 4]}[command]
+        out = tmp_path / "out.json"
+        assert run(command, "--cohort", cohort, *flags, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"subject {odd} has 40 nodes, but {subjects[0]} has 50"}
+        assert not out.exists() and not (tmp_path / "solves.txt").exists()
+
+    @staticmethod
+    def fail_any_solve(tmp_path, monkeypatch):
+        """Make every solve, in any process, leave solves.txt and fail."""
+        def fail(graph, config):
+            (tmp_path / "solves.txt").write_text("solved")
+            raise AssertionError("a subject was solved before the cohort checks")
+
+        monkeypatch.setattr("mvgehd.cli.solve", fail)
 
     def test_isolated_node_error_from_worker(self, tmp_path, capsys):
         out = tmp_path / "c"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mvgehd.clustering
 from mvgehd.clustering import (
     KMeansConfig,
     _init_centers,
@@ -23,6 +24,95 @@ def wcss_of(points, labels):
         member = points[labels == c]
         total += ((member - member.mean(axis=0)) ** 2).sum()
     return total
+
+
+# The oracle: restarted Lloyd k-means, one restart at a time. kmeans runs
+# its restarts in lockstep batches and must reproduce it bit for bit.
+
+def oracle_squared_distances(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def oracle_init_centers(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    closest = oracle_squared_distances(points, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = rng.choice(n, p=closest / total)
+        else:
+            idx = rng.integers(n)
+        centers[c] = points[idx]
+        closest = np.minimum(closest, oracle_squared_distances(points, centers[c:c + 1])[:, 0])
+    return centers
+
+
+def oracle_lloyd(points, centers, max_iters):
+    """(labels, centers, wcss) of Lloyd iterations from one restart's centers."""
+    k = centers.shape[0]
+    centers = centers.copy()
+    labels, wcss = None, None
+    for _ in range(max_iters):
+        d2 = oracle_squared_distances(points, centers)
+        new_labels = np.argmin(d2, axis=1)
+        assigned = d2[np.arange(points.shape[0]), new_labels]
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = int(np.argmax(assigned))
+                new_labels[far] = c
+                assigned[far] = 0.0
+        for c in range(k):
+            centers[c] = points[new_labels == c].mean(axis=0)
+        d2 = oracle_squared_distances(points, centers)
+        wcss = float(d2[np.arange(points.shape[0]), new_labels].sum())
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+    return labels, centers, wcss
+
+
+def oracle_kmeans(points, k, config):
+    """Labels and centers of the restart with the lowest wcss, the earliest on ties."""
+    best_labels, best_centers, best_wcss = None, None, np.inf
+    for child in np.random.SeedSequence(config.seed).spawn(config.restarts):
+        rng = np.random.default_rng(child)
+        labels, centers, wcss = oracle_lloyd(points, oracle_init_centers(points, k, rng), 300)
+        if wcss < best_wcss:
+            best_labels, best_centers, best_wcss = labels, centers, wcss
+    return best_labels, best_centers
+
+
+def restart_rngs(config):
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(config.restarts)]
+
+
+def random_points(rng, n, d, kind):
+    """n random points in d dimensions, on a random scale; `duplicates`
+    repeats a third of them, `grid` rounds them so that distances tie."""
+    points = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0)
+    if kind == "duplicates":
+        points = points[rng.integers(0, max(1, n // 3), size=n)]
+    elif kind == "grid":
+        points = np.round(points / np.abs(points).max() * 4)
+    return points
+
+
+def distinct(points):
+    return len(np.unique(points, axis=0))
+
+
+def assert_batch_is_oracle(points, centers, batch_labels, batch_centers, batch_wcss):
+    """Each restart of a batch has the labels, centers and wcss, bit for
+    bit, of the oracle run alone from its initial centers."""
+    for b in range(len(centers)):
+        labels, final, wcss = oracle_lloyd(points, centers[b], 300)
+        np.testing.assert_array_equal(batch_labels[b], labels)
+        assert batch_centers[b].tobytes() == final.tobytes()
+        assert batch_wcss[b] == wcss
 
 
 class TestKMeans:
@@ -59,24 +149,120 @@ class TestKMeans:
         np.testing.assert_array_equal(a, b)
 
     def test_lloyd_wcss_non_increasing(self):
+        # The wcss after t iterations, for t = 1..50, never rises, for each
+        # restart of a batch.
         rng = np.random.default_rng(3)
         for _ in range(10):
             pts = rng.normal(size=(25, 2))
-            centers = _init_centers(pts, 4, rng)
-            _, _, history = _lloyd(pts, centers, 50)
-            assert np.all(np.diff(history) <= 1e-9)
+            centers = _init_centers(pts, 4, [rng, np.random.default_rng(rng.integers(99))])
+            history = np.array([_lloyd(pts, centers, iters)[2] for iters in range(1, 51)])
+            assert np.all(np.diff(history, axis=0) <= 1e-9)
 
     def test_every_cluster_non_empty(self):
         # Two blobs and three centers, the third far from every point: the
         # first assignment leaves it empty, so Lloyd must re-seed it.
         rng = np.random.default_rng(4)
         pts = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 10])
-        centers = np.array([[0.0, 0.0], [10.0, 10.0], [1e3, -1e3]])
-        assert 2 not in np.argmin(_squared_distances(pts, centers), axis=1)
-        labels, wcss, history = _lloyd(pts, centers, 50)
-        assert len(np.unique(labels)) == 3
-        assert wcss == history[-1] == pytest.approx(wcss_of(pts, labels), rel=1e-12)
+        centers = np.array([[[0.0, 0.0], [10.0, 10.0], [1e3, -1e3]]])
+        assert 2 not in np.argmin(_squared_distances(pts, centers)[0], axis=1)
+        labels, _, wcss = _lloyd(pts, centers, 50)
+        assert len(np.unique(labels[0])) == 3
+        assert wcss[0] == pytest.approx(wcss_of(pts, labels[0]), rel=1e-12)
+        history = [_lloyd(pts, centers, iters)[2][0] for iters in range(1, 51)]
+        assert history[-1] == wcss[0]
         assert np.all(np.diff(history) <= 1e-9)
+
+
+class TestBatchedKMeansIsTheOracle:
+    """Restarts in lockstep batches give, bit for bit, what running each
+    restart alone gave."""
+
+    @pytest.mark.parametrize("kind", ["normal", "duplicates", "grid"])
+    def test_random_inputs(self, kind):
+        rng = np.random.default_rng({"normal": 20, "duplicates": 21, "grid": 22}[kind])
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            pts = random_points(rng, n, int(rng.choice([1, 2, 3, 5, 20])), kind)
+            # With fewer distinct points than k, Lloyd re-seeds empty
+            # clusters on every iteration up to its cap; one case below
+            # does that, here it would only slow the oracle.
+            k = int(rng.integers(1, min(distinct(pts), 8) + 1))
+            config = KMeansConfig(restarts=int(rng.choice([1, 2, 7, 20])),
+                                  seed=int(rng.integers(1000)))
+            want_labels, want_centers = oracle_kmeans(pts, k, config)
+            np.testing.assert_array_equal(kmeans(pts, k, config), want_labels)
+            centers = _init_centers(pts, k, restart_rngs(config))
+            for b, rng_b in enumerate(restart_rngs(config)):
+                assert centers[b].tobytes() == oracle_init_centers(pts, k, rng_b).tobytes()
+            labels, final, wcss = _lloyd(pts, centers, 300)
+            assert_batch_is_oracle(pts, centers, labels, final, wcss)
+            # The restart kmeans picks holds the oracle's chosen centers.
+            chosen = int(np.argmin(wcss))
+            np.testing.assert_array_equal(labels[chosen], want_labels)
+            assert final[chosen].tobytes() == want_centers.tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_small_batches(self, monkeypatch, cap):
+        # One restart per batch, and batches of a few restarts with a
+        # shorter last one.
+        monkeypatch.setattr(mvgehd.clustering, "_BATCH_ELEMENTS", cap)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            pts = random_points(rng, int(rng.integers(2, 40)), int(rng.integers(1, 5)), "grid")
+            k = int(rng.integers(1, min(distinct(pts), 5) + 1))
+            config = KMeansConfig(restarts=7, seed=int(rng.integers(1000)))
+            np.testing.assert_array_equal(kmeans(pts, k, config),
+                                          oracle_kmeans(pts, k, config)[0])
+
+    def test_empty_clusters_reseeded_per_restart(self):
+        # Only the second and fourth restarts start with a center that no
+        # point is nearest to.
+        rng = np.random.default_rng(24)
+        pts = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 10])
+        centers = np.array([
+            pts[[0, 6, 1]],
+            [[0.0, 0.0], [10.0, 10.0], [1e3, -1e3]],
+            pts[[7, 2, 8]],
+            [[-1e3, 1e3], [0.0, 0.0], [1e3, -1e3]],
+        ])
+        first = np.argmin(_squared_distances(pts, centers), axis=2)
+        empty = [len(np.unique(row)) < 3 for row in first]
+        assert empty == [False, True, False, True]
+        assert_batch_is_oracle(pts, centers, *_lloyd(pts, centers, 300))
+
+    # Re-seeding one empty cluster can empty another, whose mean is then
+    # NaN with a RuntimeWarning, in the oracle as in kmeans.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_identical_points_reseed_in_init_and_lloyd(self):
+        # Every D^2 weight is zero once each of the two distinct points is
+        # a center, so k-means++ draws uniformly and can pick a point
+        # twice; Lloyd then re-seeds.
+        pts = np.array([[1.0, 2.0]] * 5 + [[3.0, -1.0]] * 3)
+        config = KMeansConfig(restarts=6, seed=5)
+        centers = _init_centers(pts, 4, restart_rngs(config))
+        assert any(len(np.unique(c, axis=0)) < 4 for c in centers)
+        assert_batch_is_oracle(pts, centers, *_lloyd(pts, centers, 300))
+        np.testing.assert_array_equal(kmeans(pts, 4, config), oracle_kmeans(pts, 4, config)[0])
+
+    def test_one_dimension_sums_as_mean_does(self):
+        # mean() adds a column of 8 or more values pairwise, not in row
+        # order, so one-dimensional clusters of 20 points test that path.
+        rng = np.random.default_rng(25)
+        pts = np.concatenate([rng.normal(size=20) * 1e3, rng.normal(size=20) + 1e4])[:, None]
+        config = KMeansConfig(restarts=5, seed=6)
+        centers = _init_centers(pts, 2, restart_rngs(config))
+        assert_batch_is_oracle(pts, centers, *_lloyd(pts, centers, 300))
+        np.testing.assert_array_equal(kmeans(pts, 2, config), oracle_kmeans(pts, 2, config)[0])
+
+    def test_ties_keep_the_earliest_restart(self):
+        # Two separated blobs: every restart ends with the same wcss, and
+        # the labels of restart 0 win.
+        pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+        config = KMeansConfig(restarts=6, seed=7)
+        labels, _, wcss = _lloyd(pts, _init_centers(pts, 2, restart_rngs(config)), 300)
+        assert len(set(wcss.tolist())) == 1
+        assert len({tuple(row) for row in labels.tolist()}) == 2
+        np.testing.assert_array_equal(kmeans(pts, 2, config), labels[0])
 
 
 class TestNodeClusters:

@@ -3,8 +3,13 @@
 import io
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +296,15 @@ LAYOUTS = {
 }
 
 
+def comment_stretch_file(path):
+    """The 8 matrix lines with more than half the file's bytes of comment
+    lines between rows 3 and 4, so that some of its 4 blocks hold no row."""
+    lines = matrix_lines()
+    stretch = [f"# {i} " + "x" * 60 for i in range(30)]
+    path.write_text("\n".join(lines[:4] + stretch + lines[4:]) + "\n")
+    return path
+
+
 def whole_file_parse(path):
     return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
@@ -364,6 +378,44 @@ class TestRowBlocks:
         # loadtxt numbers rows within what it parses, so a block's own error
         # would name another row than the whole file's.
         assert str(blocked.value) == str(whole.value)
+
+    def test_blocks_of_comments_alone_are_skipped(self, tmp_path, monkeypatch, mapper):
+        path = comment_stretch_file(tmp_path / "m.csv")
+        use_small_blocks(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = [mvgehd.graph._parse_rows(path, *block)
+                      for block in mvgehd.graph._byte_blocks(path)]
+            assert [len(rows) for rows in blocks].count(0) >= 1
+            # No whole-file re-read: the blocks make the matrix.
+            got = mvgehd.graph._load_blocks(path, mapper)
+        assert got is not None and got.tobytes() == whole_file_parse(path).tobytes()
+
+    def test_workers_print_nothing_for_blocks_of_comments(self, tmp_path):
+        # np.loadtxt warns on stderr about input without data; a worker
+        # process shows that warning even where this test session would
+        # collect it, so the load runs in a fresh interpreter.
+        path = comment_stretch_file(tmp_path / "m.csv")
+        script = """if True:
+            import multiprocessing, sys
+            from concurrent.futures import ProcessPoolExecutor
+            import numpy as np
+            import mvgehd.graph as graph
+            graph.BLOCK_BYTES, graph.FILE_BLOCKS = 320, 4
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(2, mp_context=fork) as pool:
+                got = graph._load_blocks(sys.argv[1], pool.map)
+            want = np.loadtxt(sys.argv[1], delimiter=",", dtype=np.float64, ndmin=2)
+            sys.exit(got is None or got.tobytes() != want.tobytes())
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(mvgehd.graph.__file__).parent.parent),
+                        env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_write_is_byte_identical(self, tmp_path, monkeypatch, mapper):
         m = whole_file_parse(LAYOUTS["lf"](matrix_lines()).splitlines())

@@ -1,8 +1,8 @@
 """Memory of the n-by-n layers: loading, matrix-free solving and writing
 hold the views plus at most one more n-by-n array's worth, also when a
 process pool parses or formats the files' blocks of rows, a dense solve
-holds one n-by-n sum and one per-view buffer, and betweenness holds
-O(n^2).
+holds one n-by-n sum and one per-view buffer, betweenness holds
+O(n^2), and k-means on many points runs its restarts one at a time.
 
 Peaks are measured with tracemalloc, which numpy reports its array
 buffers to, as bytes allocated above what was held before the call.
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mvgehd.cli import _file_mapper
+from mvgehd.clustering import KMeansConfig, kmeans
 from mvgehd.graph import (BLOCK_BYTES, MultiViewGraph, load_multiview, save_matrix_csv,
                           save_multiview)
 from mvgehd.hubs import betweenness
@@ -149,3 +150,16 @@ def test_betweenness_stays_quadratic(graph, kind):
     # both when every mask is rebuilt; keeping every rank's dense mask
     # would add n^3 bytes, 50 views' worth.
     assert peak <= 12 * VIEW_BYTES
+
+
+def test_kmeans_on_many_points_holds_one_restart():
+    # cluster-nodes on the n = 800 embed benchmark: one restart's n-by-k-by-d
+    # point-to-center differences are 192 KB, so a batch of all 20
+    # restarts would hold about 4 MB.
+    n, k, d = 800, 6, 5
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(n, d)) + np.repeat(rng.normal(size=(k, d)) * 4, n // k + 1,
+                                                 axis=0)[:n]
+    config = KMeansConfig(seed=1)
+    _, peak = peak_above_start(lambda: kmeans(points, k, config))
+    assert peak <= 3 * 8 * n * k * d
