@@ -15,16 +15,18 @@ embeds the invoking configuration and the library version, so identical
 configs and seeds reproduce results bit for bit. Failures print a
 machine-readable JSON object to stderr and exit nonzero.
 
-Cohort commands (cluster-subjects, sweep-k) parse every subject once on a
-pool of worker processes started with fork, check that the subjects share
-one node count n with room for the embedding dimension, and then run the
-per-subject embeddings, and sweep-k's per-k scoring, on the same pool.
-generate, embed and hubs --method betweenness write or read the view files
-that are larger than graph.BLOCK_BYTES in blocks of rows on such a pool, of
-at most 8 workers, which is made only when a file has more than one block.
-The MVGEHD_THREADS environment variable caps the worker processes
-(default: the cores this process may run on); it is checked before any
-view file is read or written, and at 1 no worker starts.
+Each command runs its tasks on at most one pool of worker processes,
+started with fork at the first task, which yields results in task order.
+Cohort commands (cluster-subjects, sweep-k) parse each subject in one task,
+check that the subjects share one node count n with room for the embedding
+dimension, and then embed each subject, at every k asked for, in one task;
+sweep-k then scores each k in one task. generate, embed and hubs --method
+betweenness write or read the view files that are larger than
+graph.BLOCK_BYTES in blocks of rows, on at most 8 workers, so a command
+whose files each fit in one block starts none. The MVGEHD_THREADS
+environment variable caps the worker processes (default: the cores this
+process may run on); it is checked before any view file is read or
+written, and at 1 no worker starts: every task runs in this process.
 """
 
 from __future__ import annotations
@@ -118,25 +120,6 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
     )
 
 
-@contextlib.contextmanager
-def _process_pool(workers: int):
-    """A pool of `workers` worker processes, which start at its first task.
-
-    Threads would serialize the work, which is Python code, on the
-    interpreter lock. Fork, named explicitly, starts workers fastest and
-    needs no `__main__` guard in callers that run `main` in-process; each
-    worker inherits the imported package and runs the functions it is
-    handed on their pickled arguments. On an error, work not yet handed to
-    a worker is cancelled.
-    """
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 # Most workers a command starts for file blocks. With one block queued
 # beyond them, the parent holds at most 9 of a file's 64 blocks
 # (graph.FILE_BLOCKS), about 0.3 of a view's 8 n^2 bytes as text.
@@ -144,77 +127,77 @@ _FILE_WORKERS = 8
 
 
 @contextlib.contextmanager
-def _file_mapper():
-    """The map that parses and formats the row blocks of large matrix files.
+def _ordered_map(workers: int):
+    """A map that runs its tasks on `workers` worker processes and yields
+    their results in order.
 
-    With MVGEHD_THREADS=1 it is the builtin map. Otherwise it runs the
-    blocks on a pool of up to _FILE_WORKERS workers, made at its first
-    call, so a command whose files each fit in one block makes none. It
-    keeps one block more than the workers in flight and yields the results
-    in order, so the parent holds a few blocks' results, never every block
-    done ahead of a slow one. The workers import nothing after the fork: a
-    block needs numpy alone.
+    With one worker it is the builtin map and no process starts. Otherwise
+    the pool is made at the first task, so a command that maps nothing
+    makes none. Threads would serialize the work, which is Python code, on
+    the interpreter lock. Fork, named explicitly, starts workers fastest and
+    needs no `__main__` guard in callers that run `main` in-process; each
+    worker inherits the imported package and runs the functions it is
+    handed, looked up by name, on their pickled arguments. The map keeps one
+    task beyond the workers in flight, so the parent holds a few results,
+    never every one done ahead of a slow one.
     """
-    workers = min(_worker_count(), _FILE_WORKERS)
     if workers == 1:
         yield map
         return
-    with contextlib.ExitStack() as stack:
-        pool = None
+    pool = None
 
-        def mapper(fn, *iterables):
-            nonlocal pool
-            if pool is None:
-                pool = stack.enter_context(_process_pool(workers))
-            in_flight = collections.deque()
-            for args in zip(*iterables):
-                in_flight.append(pool.submit(fn, *args))
-                if len(in_flight) > workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
+    def ordered_map(fn, *iterables):
+        nonlocal pool
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+        in_flight = collections.deque()
+        for args in zip(*iterables):
+            in_flight.append(pool.submit(fn, *args))
+            if len(in_flight) > workers:
                 yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
 
-        yield mapper
-
-
-@contextlib.contextmanager
-def _cohort_pool(workers: int):
-    """The process pool of a cohort command.
-
-    The package imports SciPy only inside the functions that call it, so
-    every SciPy module a worker can reach is imported here, once, before
-    the fork: `scipy.linalg` for the dense eigen-steps of a solve and the
-    spectral step of sweep-k's scoring, `scipy.sparse.linalg` for the
-    matrix-free eigen-steps; the scoring's label matching
-    (`metrics.hungarian`) is numpy alone. Otherwise every worker of every
-    pool imports them again on its first task, about 0.5 s of CPU each: on
-    the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
-    Workers keep the BLAS library's default thread count, so subjects with
-    n >= 200, whose solves run BLAS-threaded matrix products, would
-    oversubscribe the cores with several BLAS threads per worker.
-    """
-    import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
-
-    with _process_pool(workers) as pool:
-        yield pool
+    try:
+        yield ordered_map
+    finally:
+        # Waits for the tasks in flight. With cancel_futures=True, Python
+        # 3.11's shutdown never returns once a task has failed to pickle.
+        if pool is not None:
+            pool.shutdown()
 
 
-def _solve_embedding(graph, config: EmbedConfig) -> np.ndarray:
-    return solve(graph, config)[0]
+def _embed_subject(graph, configs) -> list:
+    """One subject's embedding under each config, as one task."""
+    return [solve(graph, config)[0] for config in configs]
 
 
 def _load_subject(manifest):
-    """One subject's graph, for a cohort pool's worker. The pool pickles
-    this function by name, and it looks `load_multiview` up in this module
-    when it runs, so the pool never pickles what that name is bound to."""
+    """One subject's graph, for a cohort worker. The pool pickles this
+    function by name, and it looks `load_multiview` up in this module when
+    it runs, so the pool never pickles what that name is bound to."""
     return load_multiview(manifest)
 
 
-def _load_cohort(pool, manifests: list, k: int, flag: str) -> list:
-    """Every subject's graph, parsed on `pool`. Raises unless the subjects
+def _load_cohort(mapper, manifests: list, k: int, flag: str) -> list:
+    """Every subject's graph, parsed by `mapper`. Raises unless the subjects
     share one node count n and k, the value of `flag`, has k + 1 <= n,
     which a solve or the scoring would otherwise find only after others."""
-    graphs = list(pool.map(_load_subject, manifests))
+    # The package imports SciPy only inside the functions that call it, so
+    # every SciPy module a cohort worker can reach is imported here, once,
+    # before the first task forks the workers: `scipy.linalg` for the dense
+    # eigen-steps of a solve and the spectral step of sweep-k's scoring,
+    # `scipy.sparse.linalg` for the matrix-free eigen-steps; the scoring's
+    # label matching (`metrics.hungarian`) is numpy alone. Otherwise every
+    # worker imports them again on its first task, about 0.5 s of CPU each:
+    # on the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
+    # Workers keep the BLAS library's default thread count, so subjects with
+    # n >= 200, whose solves run BLAS-threaded matrix products, would
+    # oversubscribe the cores with several BLAS threads per worker.
+    import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
+
+    graphs = list(mapper(_load_subject, manifests))
     n = graphs[0].n
     for manifest, graph in zip(manifests, graphs):
         if graph.n != n:
@@ -250,7 +233,7 @@ def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
 def cmd_generate(args: argparse.Namespace) -> None:
     out = Path(args.out)
     spec_a = _spec_from_args(args)
-    with _file_mapper() as mapper:
+    with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
         if args.cohort is None:
             graph, truth = generate_multiview(spec_a)
             _amend_json(save_multiview(graph, out, mapper), args)
@@ -272,7 +255,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
-    with _file_mapper() as mapper:
+    with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
         graph = load_multiview(args.manifest, mapper)
     config = _embed_config(args)
     embedding, alphas, trace = solve(graph, config)
@@ -298,7 +281,7 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         paths, transform, _ = read_manifest(args.manifest)
         if not 0 <= args.view < len(paths):
             raise ValueError(f"--view {args.view} out of range for {len(paths)} views")
-        with _file_mapper() as mapper:
+        with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
             data, score = load_view(paths[args.view], transform, mapper), betweenness
     # Checked before scoring, which for betweenness is O(n^3).
     check_selection(len(data), top=args.hub_top, threshold=args.hub_threshold)
@@ -332,9 +315,9 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
     if not 1 <= args.k <= len(manifests):
         raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
-    with _cohort_pool(workers) as pool:
-        graphs = _load_cohort(pool, manifests, args.embed_k, "--embed-k")
-        embeddings = list(pool.map(_solve_embedding, graphs, repeat(config)))
+    with _ordered_map(workers) as mapper:
+        graphs = _load_cohort(mapper, manifests, args.embed_k, "--embed-k")
+        embeddings = [runs[0] for runs in mapper(_embed_subject, graphs, repeat([config]))]
     labels = cluster_subjects(embeddings, args.k, kmeans_config)
     _write_json(args.out, {"k": args.k, "labels": labels}, args)
 
@@ -380,16 +363,12 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     truth = _read_labels(args.truth)
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
-    with _cohort_pool(workers) as pool:
-        graphs = _load_cohort(pool, manifests, args.k_max, "--k-max")
-        # Every solve is queued before any result is awaited, so workers do
-        # not idle between ks. The pool runs tasks first in, first out, so
-        # each k's scoring starts only after every solve queued before it.
-        solving = [pool.map(_solve_embedding, graphs, repeat(config))
-                   for config in configs]
+    with _ordered_map(workers) as mapper:
+        graphs = _load_cohort(mapper, manifests, args.k_max, "--k-max")
+        per_subject = list(mapper(_embed_subject, graphs, repeat(configs)))
         score = partial(_score_k, truth=truth, repeats=args.repeats,
                         restarts=args.restarts, seed=args.seed)
-        rows = list(pool.map(score, ks, (list(cohort) for cohort in solving)))
+        rows = list(mapper(score, ks, zip(*per_subject)))
     best = max(rows, key=lambda r: r["acc_mean"])
     _write_json(args.out, {"rows": rows, "best": best}, args)
 

@@ -140,12 +140,15 @@ def generate_multiview(spec: PlantedSpec, seed=None):
     iu = np.triu_indices(n, 1)
     views = []
     for quality in spec.view_quality:
-        base = _base_means(spec, truth, quality)
-        noise = np.zeros((n, n))
-        noise[iu] = rng.normal(0.0, spec.noise_sigma, iu[0].size)
-        noise += noise.T
-        w = np.clip(base + noise, 0.0, 1.0)
+        # Symmetric noise is added to the base means in place, and the view
+        # is handed over read-only, so MultiViewGraph keeps it uncopied.
+        w = _base_means(spec, truth, quality)
+        noise = rng.normal(0.0, spec.noise_sigma, iu[0].size)
+        w[iu] += noise
+        w[iu[1], iu[0]] += noise
+        np.clip(w, 0.0, 1.0, out=w)
         np.fill_diagonal(w, 0.0)
+        w.flags.writeable = False
         views.append(w)
     return MultiViewGraph(views=tuple(views)), truth
 

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
 from concurrent.futures import Future
 from itertools import repeat
 from pathlib import Path
@@ -12,8 +15,8 @@ import numpy as np
 import pytest
 
 import mvgehd.cli
-from mvgehd.cli import (_embed_config, _file_mapper, _spec_from_args, _worker_count,
-                        build_parser, main)
+from mvgehd.cli import (_FILE_WORKERS, _embed_config, _ordered_map, _spec_from_args,
+                        _worker_count, build_parser, main)
 from mvgehd.clustering import KMeansConfig
 from mvgehd.graph import load_matrix_csv, save_matrix_csv
 from mvgehd.solver import EmbedConfig
@@ -356,6 +359,46 @@ class TestSubjectPipeline:
             outputs.append(without_config(out))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_one_worker_starts_no_process(self, cohort_dir, tmp_path, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("MVGEHD_THREADS", "1")
+        flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
+                             "--k-min", 3, "--k-max", 4, "--repeats", 2]}[command]
+        assert run(command, "--cohort", cohort_dir / "cohort.json", *flags,
+                   "--seed", 0, "--out", tmp_path / "out.json") == 0
+
+    def test_task_that_cannot_be_pickled_fails_without_hanging(self, cohort_dir, tmp_path):
+        # A lambda cannot be pickled by name, so the first task fails on
+        # its way to a worker; the pool must still shut down. Run in a
+        # fresh interpreter and its own process group, so a hang ends at the
+        # timeout with the command and its workers killed.
+        script = ("import sys, mvgehd.cli\n"
+                  "mvgehd.cli._load_subject = lambda manifest: None\n"
+                  "sys.exit(mvgehd.cli.main(sys.argv[1:]))\n")
+        src = Path(mvgehd.cli.__file__).resolve().parent.parent
+        env = dict(os.environ, MVGEHD_THREADS="2", PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        argv = [sys.executable, "-c", script, "sweep-k",
+                "--cohort", cohort_dir / "cohort.json", "--truth", cohort_dir / "cohort_truth.json",
+                "--k-min", 3, "--k-max", 4, "--out", tmp_path / "sweep.json"]
+        with subprocess.Popen([str(a) for a in argv], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            try:
+                _, stderr = proc.communicate(timeout=60)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 1
+        err = json.loads(stderr)
+        assert err["error"] == "PicklingError" and "lambda" in err["message"]
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_sweep_loads_each_subject_once(self, cohort_dir, tmp_path, monkeypatch):
         # Subjects load on the pool's two workers, which fork after the
         # patch and append a line per load to one file, so loads in every
@@ -553,10 +596,10 @@ class TestRowBlockFiles:
         assert trees[0] == trees[1]
 
     def test_files_of_one_block_make_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(workers):
+        def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was made")
 
-        monkeypatch.setattr("mvgehd.cli._process_pool", no_pool)
+        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("MVGEHD_THREADS", "2")
         monkeypatch.chdir(tmp_path)
         assert run("generate", "--out", "g", "--n", 40, "--clusters", 3, "--hubs", 3,
@@ -569,19 +612,21 @@ class TestRowBlockFiles:
         submitted = []
 
         class ResolvingPool:
+            def __init__(self, max_workers, mp_context):
+                pass
+
             def submit(self, fn, *args):
                 submitted.append(args)
                 future = Future()
                 future.set_result(fn(*args))
                 return future
 
-        @contextlib.contextmanager
-        def resolving_pool(workers):
-            yield ResolvingPool()
+            def shutdown(self):
+                pass
 
-        monkeypatch.setattr("mvgehd.cli._process_pool", resolving_pool)
+        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", ResolvingPool)
         monkeypatch.setenv("MVGEHD_THREADS", "2")
-        with _file_mapper() as mapper:
+        with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
             seen = [(result, len(submitted)) for result in mapper(pow, range(6), repeat(2))]
         assert seen == [(0, 3), (1, 4), (4, 5), (9, 6), (16, 6), (25, 6)]
 

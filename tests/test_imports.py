@@ -38,7 +38,7 @@ import json, os, sys
 import mvgehd.cli
 
 LOG = os.environ["WATCH_LOG"]
-solve_embedding, score_k = mvgehd.cli._solve_embedding, mvgehd.cli._score_k
+embed_subject, score_k = mvgehd.cli._embed_subject, mvgehd.cli._score_k
 
 def scipy_modules():
     return set({SCIPY_MODULES})
@@ -52,12 +52,12 @@ def watch(name, task, args, kwargs):
             log.write(json.dumps([name, os.getpid(), sorted(scipy_modules() - before)]) + "\\n")
 
 def watched_solve(*args, **kwargs):
-    return watch("solve", solve_embedding, args, kwargs)
+    return watch("solve", embed_subject, args, kwargs)
 
 def watched_score(*args, **kwargs):
     return watch("score", score_k, args, kwargs)
 
-mvgehd.cli._solve_embedding, mvgehd.cli._score_k = watched_solve, watched_score
+mvgehd.cli._embed_subject, mvgehd.cli._score_k = watched_solve, watched_score
 print(json.dumps({{"code": mvgehd.cli.main(sys.argv[1:]), "pid": os.getpid()}}))
 """
 
@@ -70,7 +70,7 @@ import json, os, sys
 import mvgehd.cli
 
 LOG = os.environ["WATCH_LOG"]
-solve_embedding, score_k = mvgehd.cli._solve_embedding, mvgehd.cli._score_k
+embed_subject, score_k = mvgehd.cli._embed_subject, mvgehd.cli._score_k
 
 def listed(name, task, args, kwargs):
     try:
@@ -80,12 +80,12 @@ def listed(name, task, args, kwargs):
             log.write(json.dumps([name, os.getpid(), {SCIPY_MODULES}]) + "\\n")
 
 def listed_solve(*args, **kwargs):
-    return listed("solve", solve_embedding, args, kwargs)
+    return listed("solve", embed_subject, args, kwargs)
 
 def listed_score(*args, **kwargs):
     return listed("score", score_k, args, kwargs)
 
-mvgehd.cli._solve_embedding, mvgehd.cli._score_k = listed_solve, listed_score
+mvgehd.cli._embed_subject, mvgehd.cli._score_k = listed_solve, listed_score
 code = mvgehd.cli.main(sys.argv[1:])
 print(json.dumps({{"code": code, "pid": os.getpid(), "scipy": {SCIPY_MODULES}}}))
 """

@@ -1,4 +1,5 @@
-"""Memory of the n-by-n layers: loading, matrix-free solving and writing
+"""Memory of the n-by-n layers: generating holds the views plus two more
+n-by-n arrays' worth; loading, matrix-free solving and writing
 hold the views plus at most one more n-by-n array's worth, also when a
 process pool parses or formats the files' blocks of rows, a dense solve
 holds one n-by-n sum and one per-view buffer, betweenness holds
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvgehd.cli import _file_mapper
+from mvgehd.cli import _FILE_WORKERS, _ordered_map, _worker_count
 from mvgehd.clustering import KMeansConfig, kmeans
 from mvgehd.graph import (BLOCK_BYTES, MultiViewGraph, load_multiview, save_matrix_csv,
                           save_multiview)
@@ -50,6 +51,18 @@ def graph():
     spec = PlantedSpec(n=N, clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
                        p_intra=0.5, noise_sigma=0.02, seed=0)
     return generate_multiview(spec)[0]
+
+
+def test_generate_holds_the_views_plus_two():
+    spec = PlantedSpec(n=N, clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
+                       p_intra=0.5, noise_sigma=0.02, seed=0)
+    generate_multiview(PlantedSpec(n=20, clusters=2, hubs=2, views=1))  # first-use setup
+    generated, peak = peak_above_start(lambda: generate_multiview(spec)[0])
+    # About 5.0 views' worth: the views, the upper-triangle indices (1
+    # view) and the last view's noise and sums (1). Summing full n-by-n
+    # noise and base means and copying the writable views took 9.2.
+    assert all(not v.flags.writeable for v in generated.views)
+    assert peak <= (generated.m + 2.5) * VIEW_BYTES
 
 
 def test_solve_holds_at_most_one_view_beyond_its_inputs(graph):
@@ -114,7 +127,7 @@ def test_save_streams_rows(graph, tmp_path):
 def file_mapper(request, monkeypatch):
     """The CLI's map for file blocks, on 2 workers or on the most it starts."""
     monkeypatch.setenv("MVGEHD_THREADS", request.param)
-    with _file_mapper() as mapper:
+    with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
         yield mapper
 
 
