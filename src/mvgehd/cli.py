@@ -20,13 +20,14 @@ started with fork at the first task, which yields results in task order.
 Cohort commands (cluster-subjects, sweep-k) parse each subject in one task,
 check that the subjects share one node count n with room for the embedding
 dimension, and then embed each subject, at every k asked for, in one task;
-sweep-k then scores each k in one task. generate, embed and hubs --method
-betweenness write or read the view files that are larger than
-graph.BLOCK_BYTES in blocks of rows, on at most 8 workers, so a command
-whose files each fit in one block starts none. The MVGEHD_THREADS
-environment variable caps the worker processes (default: the cores this
-process may run on); it is checked before any view file is read or
-written, and at 1 no worker starts: every task runs in this process.
+sweep-k then scores each k in one task. generate writes the view files
+that are larger than graph.BLOCK_BYTES in blocks of rows, on at most 8
+workers, so a graph whose files each fit in one block starts none. embed
+and hubs read their files in this process and start no worker. The
+MVGEHD_THREADS environment variable caps the worker processes (default:
+the cores this process may run on); the commands that start workers check
+it before any view file is read or written, and at 1 no worker starts:
+every task runs in this process. A worker exits once this process is gone.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import partial
@@ -120,10 +123,23 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
     )
 
 
-# Most workers a command starts for file blocks. With one block queued
+# Most workers generate starts to format file blocks. With one block queued
 # beyond them, the parent holds at most 9 of a file's 64 blocks
 # (graph.FILE_BLOCKS), about 0.3 of a view's 8 n^2 bytes as text.
 _FILE_WORKERS = 8
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Start a worker's watch on `parent`, the process that made its pool:
+    once that is gone, the worker exits. A worker waits on its task queue,
+    whose writing end it holds itself, so it would otherwise outlive a
+    command killed by a signal, reparented and idle, holding its memory."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @contextlib.contextmanager
@@ -139,7 +155,8 @@ def _ordered_map(workers: int):
     worker inherits the imported package and runs the functions it is
     handed, looked up by name, on their pickled arguments. The map keeps one
     task beyond the workers in flight, so the parent holds a few results,
-    never every one done ahead of a slow one.
+    never every one done ahead of a slow one. Each worker exits within a
+    second of the parent's death (see _exit_with_parent).
     """
     if workers == 1:
         yield map
@@ -150,7 +167,9 @@ def _ordered_map(workers: int):
         nonlocal pool
         if pool is None:
             pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"))
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_exit_with_parent,
+                                       initargs=(os.getpid(),))
         in_flight = collections.deque()
         for args in zip(*iterables):
             in_flight.append(pool.submit(fn, *args))
@@ -255,10 +274,8 @@ def cmd_generate(args: argparse.Namespace) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
-    with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
-        graph = load_multiview(args.manifest, mapper)
-    config = _embed_config(args)
-    embedding, alphas, trace = solve(graph, config)
+    graph = load_multiview(args.manifest)
+    embedding, alphas, trace = solve(graph, _embed_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(embedding, out / "embedding.csv")
@@ -281,8 +298,7 @@ def cmd_hubs(args: argparse.Namespace) -> None:
         paths, transform, _ = read_manifest(args.manifest)
         if not 0 <= args.view < len(paths):
             raise ValueError(f"--view {args.view} out of range for {len(paths)} views")
-        with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
-            data, score = load_view(paths[args.view], transform, mapper), betweenness
+        data, score = load_view(paths[args.view], transform), betweenness
     # Checked before scoring, which for betweenness is O(n^3).
     check_selection(len(data), top=args.hub_top, threshold=args.hub_threshold)
     report = hub_report(score(data), args.method, top=args.hub_top,

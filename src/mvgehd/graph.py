@@ -8,13 +8,13 @@ loading keeps each parsed matrix as its view, validation checks symmetry
 in row blocks, and the matrix-free solver works on the views themselves
 plus O(n k) per view. The solver has been measured up to n = 2000.
 
-The file functions take a `mapper`. With a process pool's map, a matrix
-file of more than BLOCK_BYTES is parsed or formatted in FILE_BLOCKS blocks
-of whole rows on the pool's workers, which spreads the text work over
-cores; the blocks are put together in file order, so the bytes written
-and the arrays read are the same. With the builtin map (the default), and
-for a smaller file, a matrix is parsed by one np.loadtxt call and written
-one row at a time, which holds less than blocks would.
+A matrix file is read by one np.loadtxt call. The writers take a
+`mapper`: with a process pool's map, a matrix of more than BLOCK_BYTES of
+text is formatted in FILE_BLOCKS blocks of whole rows on the pool's
+workers, which spreads the text work over cores, and the blocks are
+written in file order, so the bytes are the same. With the builtin map
+(the default), and for a smaller matrix, a matrix is written one row at a
+time, which holds less than blocks would.
 
 File formats:
   - matrix: headerless CSV, n rows of n comma-separated decimal values.
@@ -26,25 +26,23 @@ File formats:
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-9
-# A matrix file of more than BLOCK_BYTES of text is cut into FILE_BLOCKS
-# blocks of rows for a worker pool: an n = 200 view (0.7 MB) stays whole
-# and starts no worker; an n = 800 view (10 MB) is 64 blocks of 12 or 13
-# rows. The parent holds only the blocks in flight (see cli._file_mapper),
-# so a count rather than a size keeps that a small share of a view at
-# every n: a fixed 1.25 MiB block is already an n = 400 view's 8 n^2
-# bytes. With 64 blocks, not 32, and text handed back as bytes, not str,
-# the embed-n800 benchmark's peak RSS stays at the row-at-a-time writer's.
+# A matrix of more than BLOCK_BYTES of text is written in FILE_BLOCKS
+# blocks of rows, formatted by a worker pool: an n = 200 view (0.7 MB)
+# stays whole and starts no worker; an n = 800 view (10 MB) is 64 blocks
+# of 12 or 13 rows. The parent holds only the formatted blocks in flight
+# (see cli._ordered_map), so a count rather than a size keeps that a small
+# share of a view at every n: a fixed 1.25 MiB block is already an
+# n = 400 view's 8 n^2 bytes. With 64 blocks, not 32, and text handed back
+# as bytes, not str, the embed-n800 benchmark's peak RSS stays at the
+# row-at-a-time writer's.
 BLOCK_BYTES = 5 * 2 ** 18
 FILE_BLOCKS = 64
 # Rows per block of the symmetry check, whose temporary is one block.
@@ -229,109 +227,34 @@ def _rows_text(rows: np.ndarray) -> bytes:
     return "".join([",".join(map(repr, row.tolist())) + "\n" for row in rows]).encode()
 
 
-def _block_count(text_bytes: int) -> int:
-    """How many blocks a worker pool gets of `text_bytes` of matrix text."""
-    return 1 if text_bytes <= BLOCK_BYTES else FILE_BLOCKS
-
-
 def save_matrix_csv(data: np.ndarray, path, mapper=map) -> None:
     """Write a dense matrix as headerless CSV with exact float round-trip.
 
-    Unless `mapper` is the builtin map, the rows are cut into equal
-    blocks, as many as _block_count gives for the text judged by the first
-    row's, which `mapper` formats and which are written in file order. A
-    matrix of one block is formatted a row at a time in this process, so
-    no more than one row's text is held.
+    Unless `mapper` is the builtin map, a matrix of more than BLOCK_BYTES
+    of text, judged by the first row's, is cut into FILE_BLOCKS equal
+    blocks of rows, which `mapper` formats and which are written in file
+    order. A smaller matrix is formatted a row at a time in this process,
+    so no more than one row's text is held.
     """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    count = 1 if mapper is map else _block_count(len(_rows_text(arr[:1])) * len(arr))
-    if count == 1:
+    if mapper is map or len(_rows_text(arr[:1])) * len(arr) <= BLOCK_BYTES:
         mapper, count = map, len(arr)
+    else:
+        count = FILE_BLOCKS
     blocks = [arr[len(arr) * i // count:len(arr) * (i + 1) // count] for i in range(count)]
     with open(path, "wb") as out:
         for text in mapper(_rows_text, blocks):
             out.write(text)
 
 
-def _parse(source) -> np.ndarray:
-    return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2)
-
-
-def _parse_rows(path, start: int, stop: int) -> np.ndarray:
-    """The rows in bytes [start, stop) of a matrix file, decoded as
-    np.loadtxt decodes a whole file: the locale's encoding, any newline.
-    A block of comment or blank lines alone holds no rows: np.loadtxt's
-    warning about it is silenced, and _load_blocks skips the block."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        text = io.TextIOWrapper(io.BytesIO(f.read(stop - start)))
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return _parse(text)
-
-
-def _byte_blocks(path) -> list:
-    """(start, stop) byte ranges of about equal size that cover the file,
-    each starting at the start of a line, as many as _block_count gives."""
-    size = os.path.getsize(path)
-    count = _block_count(size)
-    bounds = {0, size}
-    with open(path, "rb") as f:
-        for i in range(1, count):
-            f.seek(size * i // count - 1)
-            f.readline()
-            bounds.add(f.tell())
-    bounds = sorted(bounds)
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _load_blocks(path, mapper) -> np.ndarray | None:
-    """A square matrix file parsed block by block by `mapper`, each block
-    copied in file order into one array as it arrives; a block of no rows
-    is skipped. None if the file is one block, or if the blocks do not
-    hold the rows of a square."""
-    blocks = _byte_blocks(path)
-    if len(blocks) < 2:
-        return None
-    matrix, filled = None, 0
-    starts, stops = zip(*blocks)
-    for rows in mapper(_parse_rows, repeat(path), starts, stops):
-        if not len(rows):
-            continue
-        if matrix is None:
-            matrix = np.empty((rows.shape[1], rows.shape[1]))
-        if rows.shape[1] != len(matrix) or filled + len(rows) > len(matrix):
-            return None
-        matrix[filled:filled + len(rows)] = rows
-        filled += len(rows)
-    return matrix if matrix is not None and filled == len(matrix) else None
-
-
-def load_matrix_csv(path, mapper=map) -> np.ndarray:
-    """Read a headerless CSV matrix as float64.
-
-    Unless `mapper` is the builtin map, a file of more than one block (see
-    _block_count) is parsed in blocks of whole lines by `mapper`. If a
-    block fails, or the blocks do not make a square matrix, the file is
-    parsed again in one piece, as a smaller file is, and as anything else
-    np.loadtxt reads (an open file, a list of lines) is. So the result, or
-    the error and its message, is always that of one np.loadtxt call on
-    the whole file.
-    """
-    matrix = None
-    if mapper is not map:
-        try:
-            matrix = _load_blocks(path, mapper)
-        except Exception:  # the whole-file parse below answers, or raises its own error
-            pass
-    if matrix is None:
-        try:
-            matrix = _parse(path)
-        except ValueError as exc:
-            raise GraphValidationError(f"cannot parse matrix file {path}: {exc}") from exc
-    return matrix
+def load_matrix_csv(path) -> np.ndarray:
+    """Read a headerless CSV matrix as float64, by one np.loadtxt call."""
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise GraphValidationError(f"cannot parse matrix file {path}: {exc}") from exc
 
 
 def read_manifest(manifest_path) -> tuple[list, str, list | None]:
@@ -362,13 +285,13 @@ def read_manifest(manifest_path) -> tuple[list, str, list | None]:
     return [base / rel for rel in paths], transform, node_names
 
 
-def _read_view(path, transform: str, mapper=map) -> np.ndarray:
+def _read_view(path, transform: str) -> np.ndarray:
     """Parse one view file, check it is square and apply `transform`.
 
     The result is read-only and held by nothing else, so validate_affinity
     checks it without a copy.
     """
-    view = load_matrix_csv(path, mapper)
+    view = load_matrix_csv(path)
     if view.ndim != 2 or view.shape[0] != view.shape[1]:
         raise GraphValidationError(f"matrix file {path} is not square: shape {view.shape}")
     view = apply_transform(view, transform)
@@ -376,20 +299,19 @@ def _read_view(path, transform: str, mapper=map) -> np.ndarray:
     return view
 
 
-def load_view(path, transform: str, mapper=map) -> np.ndarray:
+def load_view(path, transform: str) -> np.ndarray:
     """One view file, read and validated as load_multiview reads each view."""
-    return validate_affinity(_read_view(path, transform, mapper))
+    return validate_affinity(_read_view(path, transform))
 
 
-def load_multiview(manifest_path, mapper=map) -> MultiViewGraph:
+def load_multiview(manifest_path) -> MultiViewGraph:
     """Load a multi-view graph from a JSON manifest.
 
     The manifest's `transform` (default `reject`) decides how negative
     entries in the referenced CSV matrices are handled before validation.
-    `mapper` parses the blocks of large view files (see load_matrix_csv).
     """
     paths, transform, node_names = read_manifest(manifest_path)
-    views = tuple(_read_view(path, transform, mapper) for path in paths)
+    views = tuple(_read_view(path, transform) for path in paths)
     return MultiViewGraph(views=views, node_names=node_names)
 
 

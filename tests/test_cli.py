@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from itertools import repeat
 from pathlib import Path
@@ -29,6 +30,16 @@ def run(*argv):
 
 def read(path):
     return json.loads(path.read_text())
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        os.kill(pid, 0)
+        stat = Path(f"/proc/{pid}/stat")
+        return not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
 
 
 def without_config(path):
@@ -399,6 +410,42 @@ class TestSubjectPipeline:
         assert err["error"] == "PicklingError" and "lambda" in err["message"]
         assert not (tmp_path / "sweep.json").exists()
 
+    def test_workers_exit_when_the_command_is_killed(self, cohort_dir, tmp_path):
+        # Each subject's load logs its worker's pid and sleeps, so the
+        # command is killed with both workers in a task. It runs in a fresh
+        # interpreter in its own session, so what is left can be killed.
+        log = tmp_path / "pids.txt"
+        script = ("import os, sys, time, mvgehd.cli\n"
+                  "def slow_load(manifest):\n"
+                  "    with open(os.environ['PID_LOG'], 'a') as f:\n"
+                  "        f.write(f'{os.getpid()}\\n')\n"
+                  "    time.sleep(60)\n"
+                  "mvgehd.cli._load_subject = slow_load\n"
+                  "sys.exit(mvgehd.cli.main(sys.argv[1:]))\n")
+        src = Path(mvgehd.cli.__file__).resolve().parent.parent
+        env = dict(os.environ, MVGEHD_THREADS="2", PID_LOG=str(log), PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        argv = [sys.executable, "-c", script, "sweep-k",
+                "--cohort", cohort_dir / "cohort.json", "--truth", cohort_dir / "cohort_truth.json",
+                "--k-min", 3, "--k-max", 4, "--out", tmp_path / "sweep.json"]
+        with subprocess.Popen([str(a) for a in argv], env=env,
+                              start_new_session=True) as proc:
+            try:
+                deadline = time.monotonic() + 60
+                while not log.exists() or len(set(log.read_text().split())) < 2:
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+                workers = {int(pid) for pid in log.read_text().split()}
+                proc.terminate()
+                proc.wait(timeout=10)
+                deadline = time.monotonic() + 5
+                while any(map(running, workers)) and time.monotonic() < deadline:
+                    time.sleep(0.1)
+                assert not any(map(running, workers))
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+
     def test_sweep_loads_each_subject_once(self, cohort_dir, tmp_path, monkeypatch):
         # Subjects load on the pool's two workers, which fork after the
         # patch and append a line per load to one file, so loads in every
@@ -575,8 +622,8 @@ class TestSubjectPipeline:
 
 class TestRowBlockFiles:
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        # Each view file of this n = 40 graph is more than 4 KiB, so it goes
-        # to the workers in blocks of at most one row.
+        # Each view file of this n = 40 graph is more than 4 KiB, so the
+        # workers format it in blocks of at most one row.
         monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 4096)
         trees = []
         for workers in ("1", "2"):
@@ -595,24 +642,34 @@ class TestRowBlockFiles:
         assert len(trees[0]) == 8
         assert trees[0] == trees[1]
 
-    def test_files_of_one_block_make_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was made")
+    def test_views_are_read_without_a_pool(self, tmp_path, monkeypatch):
+        # generate writes these view files, each more than 4 KiB, in blocks
+        # on a pool; embed and hubs read them in their own process.
+        made = []
+        pool = mvgehd.cli.ProcessPoolExecutor
 
-        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", no_pool)
+        def counting_pool(*args, **kwargs):
+            made.append(kwargs)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 4096)
         monkeypatch.setenv("MVGEHD_THREADS", "2")
         monkeypatch.chdir(tmp_path)
         assert run("generate", "--out", "g", "--n", 40, "--clusters", 3, "--hubs", 3,
                    "--seed", 5) == 0
+        assert Path("g/view_0.csv").stat().st_size > 4 * 4096
+        assert len(made) == 1
         assert run("embed", "--manifest", "g/manifest.json", "--k", 2, "--out", "emb") == 0
         assert run("hubs", "--method", "betweenness", "--manifest", "g/manifest.json",
                    "--hub-top", 3, "--out", "betweenness.json") == 0
+        assert len(made) == 1
 
     def test_file_mapper_keeps_one_task_beyond_the_workers_in_flight(self, monkeypatch):
         submitted = []
 
         class ResolvingPool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, **kwargs):
                 pass
 
             def submit(self, fn, *args):

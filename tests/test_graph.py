@@ -1,15 +1,10 @@
 """Graph representation, validation, normalization, and file round-trips."""
 
-import io
 import json
 import multiprocessing
-import os
 import pickle
-import subprocess
-import sys
-import warnings
+import re
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +234,17 @@ class TestManifestIO:
             load_multiview(path)
         assert parsed == []
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,1\n1\n", "cannot parse matrix file"),
+        ("0,x\n1,0\n", "cannot parse matrix file"),
+        ("0,1,1\n1,0,1\n", "is not square: shape (2, 3)"),
+    ], ids=["ragged", "non_numeric", "non_square"])
+    def test_unreadable_view_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            load_view(path, "reject")
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 1, size=(7, 7))
@@ -271,42 +277,16 @@ class TestManifestIO:
 
 
 def use_small_blocks(monkeypatch):
-    """Cut the files below, of more than 320 bytes, into 4 blocks, each of
-    at least one data row: a block spans more than a data line plus a
-    comment line."""
+    """Write the matrices below, of more than 320 bytes of text, in 4 blocks."""
     monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 320)
     monkeypatch.setattr("mvgehd.graph.FILE_BLOCKS", 4)
 
 
-def matrix_lines(n=8):
-    """n CSV lines of n values: random floats, -0.0, 1e-300 and integers."""
-    rng = np.random.default_rng(7)
-    rows = [[repr(float(x)) for x in rng.uniform(-1, 1, n)] for _ in range(n)]
-    rows[0][1], rows[2][3], rows[4][5], rows[6][0] = "-0.0", "1e-300", "3", "-12"
-    return [",".join(row) for row in rows]
-
-
-LAYOUTS = {
-    "lf": lambda lines: "\n".join(lines) + "\n",
-    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
-    "comment_lines": lambda lines: "# head\n" + "".join(
-        f"{line}\n# after {i}\n" for i, line in enumerate(lines)),
-    "blank_lines": lambda lines: "\n" + "".join(f"{line}\n\n" for line in lines),
-    "no_final_newline": lambda lines: "\n".join(lines),
-}
-
-
-def comment_stretch_file(path):
-    """The 8 matrix lines with more than half the file's bytes of comment
-    lines between rows 3 and 4, so that some of its 4 blocks hold no row."""
-    lines = matrix_lines()
-    stretch = [f"# {i} " + "x" * 60 for i in range(30)]
-    path.write_text("\n".join(lines[:4] + stretch + lines[4:]) + "\n")
-    return path
-
-
-def whole_file_parse(path):
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+def matrix_rows(n=8):
+    """An n-by-n matrix of random floats, -0.0, 1e-300 and integers."""
+    m = np.random.default_rng(7).uniform(-1, 1, (n, n))
+    m[0, 1], m[2, 3], m[4, 5], m[6, 0] = -0.0, 1e-300, 3.0, -12.0
+    return m
 
 
 @pytest.fixture(scope="module")
@@ -327,98 +307,11 @@ def mapper(request):
 
 
 class TestRowBlocks:
-    """Large matrix files go through blocks of rows; the results, files and
-    errors are those of the whole-file path."""
-
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_read_equals_the_whole_file_parse(self, tmp_path, monkeypatch, mapper,
-                                              layout):
-        path = tmp_path / "m.csv"
-        path.write_bytes(LAYOUTS[layout](matrix_lines()).encode())
-        use_small_blocks(monkeypatch)
-        assert len(mvgehd.graph._byte_blocks(path)) == 4
-        want = whole_file_parse(path)
-        # The blocks themselves make the matrix: no whole-file re-read.
-        blocks = mvgehd.graph._load_blocks(path, mapper)
-        assert blocks is not None and blocks.tobytes() == want.tobytes()
-        got = load_matrix_csv(path, mapper)
-        assert got.shape == want.shape == (8, 8)
-        assert got.tobytes() == want.tobytes()
-
-    def test_non_square_file_is_read_whole(self, tmp_path, monkeypatch, mapper):
-        path = tmp_path / "m.csv"
-        path.write_text("\n".join(matrix_lines() + matrix_lines()[:3]) + "\n")
-        use_small_blocks(monkeypatch)
-        assert mvgehd.graph._load_blocks(path, mapper) is None
-        got = load_matrix_csv(path, mapper)
-        assert got.shape == (11, 8)
-        assert got.tobytes() == whole_file_parse(path).tobytes()
-
-    @pytest.mark.parametrize("kind", ["ragged", "non_numeric", "missing",
-                                      "more_rows", "fewer_rows"])
-    def test_errors_are_the_whole_file_errors(self, tmp_path, monkeypatch, mapper, kind):
-        lines = matrix_lines()
-        if kind == "ragged":
-            lines[6] = lines[6].rsplit(",", 1)[0]
-        elif kind == "non_numeric":
-            lines[6] = "x," + lines[6].split(",", 1)[1]
-        elif kind == "more_rows":
-            lines += lines[:2]
-        elif kind == "fewer_rows":
-            lines = lines[:-2]
-        path = tmp_path / "m.csv"
-        if kind != "missing":
-            path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(Exception) as whole:
-            load_view(path, "reject")
-        use_small_blocks(monkeypatch)
-        with pytest.raises(Exception) as blocked:
-            load_view(path, "reject", mapper)
-        assert type(blocked.value) is type(whole.value)
-        # loadtxt numbers rows within what it parses, so a block's own error
-        # would name another row than the whole file's.
-        assert str(blocked.value) == str(whole.value)
-
-    def test_blocks_of_comments_alone_are_skipped(self, tmp_path, monkeypatch, mapper):
-        path = comment_stretch_file(tmp_path / "m.csv")
-        use_small_blocks(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blocks = [mvgehd.graph._parse_rows(path, *block)
-                      for block in mvgehd.graph._byte_blocks(path)]
-            assert [len(rows) for rows in blocks].count(0) >= 1
-            # No whole-file re-read: the blocks make the matrix.
-            got = mvgehd.graph._load_blocks(path, mapper)
-        assert got is not None and got.tobytes() == whole_file_parse(path).tobytes()
-
-    def test_workers_print_nothing_for_blocks_of_comments(self, tmp_path):
-        # np.loadtxt warns on stderr about input without data; a worker
-        # process shows that warning even where this test session would
-        # collect it, so the load runs in a fresh interpreter.
-        path = comment_stretch_file(tmp_path / "m.csv")
-        script = """if True:
-            import multiprocessing, sys
-            from concurrent.futures import ProcessPoolExecutor
-            import numpy as np
-            import mvgehd.graph as graph
-            graph.BLOCK_BYTES, graph.FILE_BLOCKS = 320, 4
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(2, mp_context=fork) as pool:
-                got = graph._load_blocks(sys.argv[1], pool.map)
-            want = np.loadtxt(sys.argv[1], delimiter=",", dtype=np.float64, ndmin=2)
-            sys.exit(got is None or got.tobytes() != want.tobytes())
-        """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(mvgehd.graph.__file__).parent.parent),
-                        env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0
-        assert done.stderr == ""
+    """Large matrices are written in blocks of rows; the files are those
+    of the row-at-a-time path."""
 
     def test_write_is_byte_identical(self, tmp_path, monkeypatch, mapper):
-        m = whole_file_parse(LAYOUTS["lf"](matrix_lines()).splitlines())
+        m = matrix_rows()
         m = np.vstack([m, -m, m[::-1] * 1e-300])
         save_matrix_csv(m, tmp_path / "rows.csv")
         use_small_blocks(monkeypatch)
@@ -433,11 +326,6 @@ class TestRowBlocks:
         assert handed[0] == 4
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
-    def test_reads_what_loadtxt_reads(self, monkeypatch, mapper):
-        monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 1)
-        for source in (["1,2", "3,4"], io.StringIO("1,2\n3,4\n")):
-            assert load_matrix_csv(source, mapper).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
     def test_one_block_is_written_a_row_at_a_time(self, tmp_path):
         def failing_mapper(fn, blocks):
             raise AssertionError("a one-block matrix was handed to the mapper")
@@ -448,17 +336,12 @@ class TestRowBlocks:
             ",".join(repr(float(x)) for x in row) + "\n" for row in m)
 
     def test_builtin_map_gets_no_blocks(self, tmp_path, monkeypatch):
-        path = tmp_path / "m.csv"
-        path.write_text(LAYOUTS["lf"](matrix_lines()))
         use_small_blocks(monkeypatch)
-        blocked = []
-        monkeypatch.setattr("mvgehd.graph._load_blocks", lambda *args: blocked.append(args))
-        assert load_matrix_csv(path).tobytes() == whole_file_parse(path).tobytes()
-        assert blocked == []
-        m = whole_file_parse(path)
-        monkeypatch.setattr("mvgehd.graph._rows_text", lambda rows: blocked.append(rows) or b"")
+        written = []
+        monkeypatch.setattr("mvgehd.graph._rows_text", lambda rows: written.append(rows) or b"")
+        m = matrix_rows()
         save_matrix_csv(m, tmp_path / "rows.csv")
-        assert [len(rows) for rows in blocked] == [1] * len(m)
+        assert [len(rows) for rows in written] == [1] * len(m)
 
     def test_multiview_round_trip(self, tmp_path, monkeypatch, mapper):
         rng = np.random.default_rng(3)
@@ -474,5 +357,5 @@ class TestRowBlocks:
         blocks = save_multiview(g, tmp_path / "blocks", mapper)
         for name in ("manifest.json", "view_0.csv", "view_1.csv"):
             assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
-        loaded = load_multiview(blocks, mapper)
+        loaded = load_multiview(blocks)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(loaded.views, g.views))

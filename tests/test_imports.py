@@ -1,6 +1,6 @@
 """SciPy is loaded only by the stages that call it, cohort workers
 inherit it from their parent rather than importing it after the fork, and
-the workers that parse and format large view files import nothing.
+the workers that format large view files import nothing.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported SciPy.
@@ -91,29 +91,23 @@ print(json.dumps({{"code": code, "pid": os.getpid(), "scipy": {SCIPY_MODULES}}})
 """
 
 
-# Runs `main` with the functions that parse and format a block of rows
-# wrapped to log, per block, the process and the SciPy modules it holds.
+# Runs `main` with the function that formats a block of rows wrapped to
+# log, per block, the process and the SciPy modules it holds.
 WATCH_BLOCKS = f"""
 import json, os, sys
 import mvgehd.cli, mvgehd.graph
 
 LOG = os.environ["WATCH_LOG"]
-rows_text, parse_rows = mvgehd.graph._rows_text, mvgehd.graph._parse_rows
+rows_text = mvgehd.graph._rows_text
 
-def logged(task, args):
+def watched_rows_text(*args):
     try:
-        return task(*args)
+        return rows_text(*args)
     finally:
         with open(LOG, "a") as log:
             log.write(json.dumps([os.getpid(), {SCIPY_MODULES}]) + "\\n")
 
-def watched_rows_text(*args):
-    return logged(rows_text, args)
-
-def watched_parse_rows(*args):
-    return logged(parse_rows, args)
-
-mvgehd.graph._rows_text, mvgehd.graph._parse_rows = watched_rows_text, watched_parse_rows
+mvgehd.graph._rows_text = watched_rows_text
 print(json.dumps({{"code": mvgehd.cli.main(sys.argv[1:]), "pid": os.getpid()}}))
 """
 
@@ -173,33 +167,17 @@ def test_stage_loads_no_scipy(small, tmp_path, stage):
     assert run_main(*argv, "--out", tmp_path / "out", MVGEHD_THREADS="2") == []
 
 
-@pytest.fixture(scope="module")
-def blocks_graph(tmp_path_factory):
-    """An n = BLOCKS_N graph, whose view files are more than one block."""
-    out = tmp_path_factory.mktemp("blocks") / "g"
-    assert main(["generate", "--out", str(out), "--n", str(BLOCKS_N), "--clusters", "4",
-                 "--hubs", "6", "--views", "2", "--seed", "5"]) == 0
-    assert (out / "view_0.csv").stat().st_size > 2 * mvgehd.graph.BLOCK_BYTES
-    return out
-
-
-@pytest.mark.parametrize("command", ["generate", "embed", "hubs"])
-def test_block_workers_import_nothing(blocks_graph, tmp_path, command):
-    manifest = blocks_graph / "manifest.json"
-    argv = {
-        "generate": ["--n", BLOCKS_N, "--clusters", 4, "--hubs", 6, "--seed", 5,
-                     "--out", tmp_path / "g"],
-        "embed": ["--manifest", manifest, "--k", 3, "--max-iters", 1, "--out", tmp_path / "emb"],
-        "hubs": ["--method", "betweenness", "--manifest", manifest, "--hub-top", 6,
-                 "--out", tmp_path / "hubs.json"],
-    }[command]
+@pytest.mark.parametrize("command", ["generate"])
+def test_block_workers_import_nothing(tmp_path, command):
+    argv = ["--n", BLOCKS_N, "--clusters", 4, "--hubs", 6, "--seed", 5, "--out", tmp_path / "g"]
     log = tmp_path / "blocks.jsonl"
     result = fresh(WATCH_BLOCKS, command, *argv, WATCH_LOG=str(log), MVGEHD_THREADS="2")
     assert result["code"] == 0
+    assert (tmp_path / "g" / "view_0.csv").stat().st_size > 2 * mvgehd.graph.BLOCK_BYTES
     blocks = [json.loads(line) for line in log.read_text().splitlines()]
     in_workers = [modules for pid, modules in blocks if pid != result["pid"]]
-    # At least two blocks of each view file; betweenness reads one view.
-    assert len(in_workers) >= (2 if command == "hubs" else 4)
+    # At least two blocks of each of the two view files.
+    assert len(in_workers) >= 4
     assert in_workers == [[]] * len(in_workers)
 
 

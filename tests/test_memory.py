@@ -1,7 +1,7 @@
 """Memory of the n-by-n layers: generating holds the views plus two more
 n-by-n arrays' worth; loading, matrix-free solving and writing
-hold the views plus at most one more n-by-n array's worth, also when a
-process pool parses or formats the files' blocks of rows, a dense solve
+hold the views plus at most one more n-by-n array's worth, writing also
+when a process pool formats the files' blocks of rows, a dense solve
 holds one n-by-n sum and one per-view buffer, betweenness holds
 O(n^2), and k-means on many points runs its restarts one at a time.
 
@@ -129,16 +129,6 @@ def file_mapper(request, monkeypatch):
     monkeypatch.setenv("MVGEHD_THREADS", request.param)
     with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
         yield mapper
-
-
-def test_pooled_load_holds_the_views_plus_one(graph, tmp_path, file_mapper):
-    manifest = save_multiview(graph, tmp_path / "g")
-    assert (tmp_path / "g" / "view_0.csv").stat().st_size > BLOCK_BYTES
-    loaded, peak = peak_above_start(lambda: load_multiview(manifest, file_mapper))
-    views = sum(v.nbytes for v in loaded.views)
-    assert views == graph.m * VIEW_BYTES
-    # Each block is copied into its view as it arrives, then dropped.
-    assert peak <= views + VIEW_BYTES + SLACK_BYTES
 
 
 def test_pooled_save_holds_at_most_one_view(graph, tmp_path, file_mapper):
