@@ -1,9 +1,11 @@
 """Graph representation, validation, normalization, and file round-trips."""
 
+import io
 import json
 import multiprocessing
 import pickle
 import re
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -274,6 +276,41 @@ class TestManifestIO:
         assert (tmp_path / "m.csv").read_bytes() == want.encode()
         got = load_matrix_csv(tmp_path / "m.csv")
         assert got.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "", "# only a comment\n", "\n\n", "1", "1,2,3\n", "1\n2\n3\n", "1,2\r\n3,4\r\n",
+        "# h\n1,2\n\n3,4\n# t\n", "1,2\n3,4\n5,6\n", "1,2\n3,4\n5,6\nx,1\n", "1,2,3\n4,5,6\n",
+        "a,b\n1,2\n", "1,2\n3,x\n", "1,2\n3\n", "1,2\n3,4\n5\n", "1,2,\n3,4,\n",
+        " 1 , 2 \n3,4 # c\n", "nan,inf\n-inf,1e308\n",
+    ], ids=["empty", "comment_only", "blank_only", "one_value", "one_row", "one_column",
+            "crlf", "comment_and_blank_lines", "tall", "tall_bad_last_row", "wide",
+            "bad_first_row", "bad_second_row", "ragged", "ragged_after_n_rows",
+            "trailing_comma", "spaces_and_comment", "non_finite"])
+    def test_csv_reads_what_one_loadtxt_call_reads(self, tmp_path, text):
+        # Square files are read into one array sized by their first row;
+        # every file gives the array, error and warnings of the whole-file call.
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+
+        def outcome(read):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    got = read()
+                    result = (got.shape, got.dtype, got.tobytes(), got.flags.owndata)
+                except ValueError as exc:
+                    result = str(exc)
+            return result, [str(w.message) for w in caught]
+
+        want = outcome(lambda: np.loadtxt(path, delimiter=",", ndmin=2))
+        got = outcome(lambda: load_matrix_csv(path))
+        if isinstance(want[0], str):
+            want = (f"cannot parse matrix file {path}: {want[0]}", want[1])
+        assert got == want
+
+    def test_csv_reads_open_files_and_lines_whole(self):
+        for source in (io.StringIO("1,2\n3,4\n"), ["1,2", "3,4"]):
+            assert load_matrix_csv(source).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def use_small_blocks(monkeypatch):
