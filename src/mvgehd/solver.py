@@ -65,9 +65,12 @@ the graph:
     search on a boolean mask decides. LOBPCG (Knyazev 2001) runs on the
     map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
     Z = (alpha_v q_v) o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per
-    block product; no n-by-n operator is formed. It is preconditioned by
-    Jacobi, X -> X / diag(B) for the summed operator B, with diag(B)
-    summed over the views from their affinities and degrees in O(m n^2).
+    block product; no n-by-n operator is formed. Each product reads every
+    view once, in cache-sized row blocks: a block's rows of Z and its share
+    of W_v^T Z are formed while the block is still in cache (see
+    ViewOperator.apply). It is preconditioned by Jacobi, X -> X / diag(B)
+    for the summed operator B, with diag(B) summed over the views from
+    their affinities and degrees in O(m n^2).
     The first step starts from a fixed seeded Gaussian block, so repeat
     runs are byte-identical; later steps are warm-started from the current
     F. The constant vector is deflated, which on a connected union graph
@@ -107,6 +110,12 @@ _MATRIX_FREE_MIN_N = 200
 # 18 and 15 under a cap of 15.
 _MATRIX_FREE_TOL = 1e-10
 _MATRIX_FREE_MAX_ITERS = 60
+# Bytes of a view that ViewOperator.apply reads per row block, so that the
+# block is still in a core's L2 cache when its transpose is read. On a
+# 2 MiB-L2 host, an apply of 3 n = 800 views to 10 columns took 2.4-2.6 ms
+# with 384-768 KiB blocks, 3.7 ms with 1 MiB and 3.8 ms unblocked; at 5
+# columns 512 KiB-1 MiB were equal.
+_APPLY_BLOCK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -196,9 +205,28 @@ class ViewOperator:
         return dsyrk(1.0, contrast.T, beta=1.0, c=total, lower=1, overwrite_c=1)
 
     def apply(self, block: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
-        """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix."""
-        z = row_scale[:, None] * self.residual(block)
-        return z - self.affinity.T @ (z / self.degrees[:, None])
+        """M^T S M X for S = diag(row_scale), without forming an n-by-n matrix.
+
+        Z = S (X - W X) and W^T Z = A^T (Z / d) are taken in one pass over A,
+        in row blocks R of about _APPLY_BLOCK_BYTES: Z_R from A_R X, then
+        A_R^T (Z_R / d_R) while A_R is still in cache. Returns Z - W^T Z.
+        """
+        a, d = self.affinity, self.degrees
+        rows = max(1, _APPLY_BLOCK_BYTES // (a.itemsize * a.shape[0]))
+        z = np.empty(block.shape)
+        back = None
+        for start in range(0, a.shape[0], rows):
+            r = slice(start, start + rows)
+            a_r, d_r = a[r], d[r, None]
+            z[r] = row_scale[r, None] * (block[r] - (a_r @ block) / d_r)
+            part = a_r.T @ (z[r] / d_r)
+            # The first block's product is taken as it is, not added to
+            # zeros, so a one-block apply is exactly Z - A^T (Z / d).
+            if back is None:
+                back = part
+            else:
+                back += part
+        return z - back
 
     def diagonal(self, row_scale: np.ndarray) -> np.ndarray:
         """diag(M^T S M)_i = s_i (1 - 2 W_ii) + sum_j s_j W_ji^2 with

@@ -260,18 +260,41 @@ class TestViewDiagonal:
                                    rtol=0, atol=1e-12)
 
 
+def patch_apply_block_rows(monkeypatch, rows, n):
+    """Make ViewOperator.apply read an n-node view in blocks of `rows` rows."""
+    monkeypatch.setattr(mvgehd.solver, "_APPLY_BLOCK_BYTES", rows * 8 * n)
+
+
 class TestViewApply:
     """ViewOperator.apply: M^T S M X, checked against laplacian(op, s) @ X."""
 
     @pytest.mark.parametrize("case", OPERATOR_CASES)
-    def test_matches_dense_operator(self, case):
+    def test_matches_dense_operator(self, monkeypatch, case):
         rng = np.random.default_rng(32)
-        for _ in range(3):
-            op = case_operator(rng, case)
-            s = rng.uniform(0.1, 2.0, size=9)
-            x = rng.normal(size=(9, 4))
-            np.testing.assert_allclose(op.apply(x, s), laplacian(op, s) @ x,
-                                       rtol=0, atol=1e-12)
+        # One block; blocks of 4, 4 and 1 rows; one row a block.
+        for rows in (9, 4, 1):
+            patch_apply_block_rows(monkeypatch, rows, 9)
+            for _ in range(3):
+                op = case_operator(rng, case)
+                s = rng.uniform(0.1, 2.0, size=9)
+                x = rng.normal(size=(9, 4))
+                np.testing.assert_allclose(op.apply(x, s), laplacian(op, s) @ x,
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [9, 200])
+    @pytest.mark.parametrize("case", OPERATOR_CASES)
+    def test_one_block_is_the_two_product_apply(self, case, n):
+        # A view of one block gives the bytes of Z - A^T (Z / d) with
+        # Z = S (X - (A X) / d), one product over the whole view each.
+        rng = np.random.default_rng(35)
+        op = case_operator(rng, case, n)
+        a, d = op.affinity, op.degrees[:, None]
+        assert 8 * n * n <= mvgehd.solver._APPLY_BLOCK_BYTES
+        for k in (1, 3, 5):
+            s = rng.uniform(0.1, 2.0, size=n)
+            x = rng.normal(size=(n, k))
+            z = s[:, None] * (x - (a @ x) / d)
+            assert op.apply(x, s).tobytes() == (z - a.T @ (z / d)).tobytes()
 
 
 class TestAutoViewWeights:
@@ -530,6 +553,24 @@ def count_dense_eigensolves(monkeypatch):
     return calls
 
 
+def assert_matches_dense_oracle(monkeypatch, graph, config):
+    """A matrix-free solve takes no dense step and ends where the dense one
+    does: same iterations, view weights within 1e-12, F within 1e-8."""
+    f_dense, alphas_dense, trace_dense = dense_solve(monkeypatch, graph, config)
+    dense_calls = count_dense_eigensolves(monkeypatch)
+    f, alphas, trace = solve(graph, config)
+    assert dense_calls == []
+    assert trace.iterations == trace_dense.iterations >= 2
+    assert np.max(np.abs(trace.alpha_history - trace_dense.alpha_history)) <= 1e-12
+    assert np.max(np.abs(alphas - alphas_dense)) <= 1e-12
+    cosines = np.linalg.svd(f_dense.T @ f, compute_uv=False)
+    assert cosines.min() >= 1 - 1e-12
+    assert np.max(np.abs(f - f_dense)) <= 1e-8
+    np.testing.assert_array_equal(_fix_column_signs(f), f)
+    pivots = np.argmax(np.abs(f_dense), axis=0)
+    assert np.all(f[pivots, np.arange(config.k)] > 0)
+
+
 def assert_same_solve(got, want):
     f, alphas, trace = got
     f_want, alphas_want, trace_want = want
@@ -638,21 +679,13 @@ class TestMatrixFreeEigenStep:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [200, 300, 400])
     def test_matches_dense_oracle(self, monkeypatch, n, seed):
-        g = planted_graph(n, seed)
-        config = EmbedConfig(k=3)
-        f_dense, alphas_dense, trace_dense = dense_solve(monkeypatch, g, config)
-        dense_calls = count_dense_eigensolves(monkeypatch)
-        f, alphas, trace = solve(g, config)
-        assert dense_calls == []
-        assert trace.iterations == trace_dense.iterations >= 2
-        assert np.max(np.abs(trace.alpha_history - trace_dense.alpha_history)) <= 1e-12
-        assert np.max(np.abs(alphas - alphas_dense)) <= 1e-12
-        cosines = np.linalg.svd(f_dense.T @ f, compute_uv=False)
-        assert cosines.min() >= 1 - 1e-12
-        assert np.max(np.abs(f - f_dense)) <= 1e-8
-        np.testing.assert_array_equal(_fix_column_signs(f), f)
-        pivots = np.argmax(np.abs(f_dense), axis=0)
-        assert np.all(f[pivots, np.arange(config.k)] > 0)
+        assert_matches_dense_oracle(monkeypatch, planted_graph(n, seed), EmbedConfig(k=3))
+
+    def test_many_block_applies_match_dense_oracle(self, monkeypatch):
+        # Each view read in 43 blocks, the last of 6 rows: the blocked
+        # apply of a large view, without a large dense solve.
+        patch_apply_block_rows(monkeypatch, 7, 300)
+        assert_matches_dense_oracle(monkeypatch, planted_graph(300, 0), EmbedConfig(k=3))
 
     def test_repeat_runs_are_byte_identical(self):
         g = planted_graph(300, 0)
