@@ -52,10 +52,10 @@ import numpy as np
 from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
 from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_view,
-                    read_manifest, save_matrix_csv, save_multiview)
+                    probe_node_count, read_manifest, save_matrix_csv, save_multiview)
 from .hubs import HUB_METHODS, betweenness, check_selection, hub_report, hub_scores
 from .metrics import as_labels, evaluate
-from .solver import EmbedConfig, solve
+from .solver import _MATRIX_FREE_MIN_N, EmbedConfig, solve
 from .synth import PlantedSpec, generate_cohort, generate_multiview
 
 
@@ -211,10 +211,21 @@ def _load_cohort(mapper, manifests: list, k: int, flag: str) -> list:
     # label matching (`metrics.hungarian`) is numpy alone. Otherwise every
     # worker imports them again on its first task, about 0.5 s of CPU each:
     # on the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
-    # Workers keep the BLAS library's default thread count, so subjects with
-    # n >= 200, whose solves run BLAS-threaded matrix products, would
-    # oversubscribe the cores with several BLAS threads per worker.
-    import scipy.linalg, scipy.sparse.linalg  # noqa: E401, F401
+    # Only subjects of at least _MATRIX_FREE_MIN_N nodes can solve
+    # matrix-free, so `scipy.sparse.linalg`, about 3.5 MB of the cohort
+    # benchmark's peak RSS, is imported only for them, judged by the first
+    # row of the first subject's first view file. Workers keep the BLAS
+    # library's default thread count, so subjects with n >= 200, whose
+    # solves run BLAS-threaded matrix products, would oversubscribe the
+    # cores with several BLAS threads per worker.
+    import scipy.linalg  # noqa: F401
+    try:
+        large = probe_node_count(manifests[0]) >= _MATRIX_FREE_MIN_N
+    except (OSError, ValueError):
+        # The subject's own load reports the error.
+        large = False
+    if large:
+        import scipy.sparse.linalg  # noqa: F401
 
     graphs = list(mapper(_load_subject, manifests))
     n = graphs[0].n

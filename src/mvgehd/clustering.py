@@ -141,6 +141,12 @@ def kmeans(points: np.ndarray, k: int, config: KMeansConfig = KMeansConfig()) ->
     n = pts.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
+    # With fewer distinct points than k, every Lloyd iteration re-seeds an
+    # empty cluster from a duplicate point and empties another, so each
+    # restart would run to its iteration cap and a mean could turn NaN.
+    distinct = len(np.unique(pts, axis=0))
+    if k > distinct:
+        raise ValueError(f"k={k} is more than the {distinct} distinct points")
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config.seed).spawn(config.restarts)]
     per_batch = max(1, _BATCH_ELEMENTS // (n * k * pts.shape[1]))

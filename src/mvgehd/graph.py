@@ -252,7 +252,12 @@ def save_matrix_csv(data: np.ndarray, path, mapper=map) -> None:
 
 
 def _loadtxt(path, max_rows=None) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, max_rows=max_rows)
+    with warnings.catch_warnings():
+        # Only a whole-file read warns, of an empty file: with max_rows,
+        # np.loadtxt also warns of each blank line.
+        if max_rows is not None:
+            warnings.simplefilter("ignore")
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, max_rows=max_rows)
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -267,17 +272,13 @@ def load_matrix_csv(path) -> np.ndarray:
     """
     try:
         if isinstance(path, (str, os.PathLike)):
-            with warnings.catch_warnings():
-                # Only the whole-file call warns: with max_rows, np.loadtxt
-                # also warns of each blank line.
-                warnings.simplefilter("ignore")
-                first = _loadtxt(path, max_rows=1)
-                n = first.shape[1]
-                # A row of n values takes at least 2n - 1 bytes.
-                if len(first) and os.path.getsize(path) >= n * (2 * n - 1):
-                    matrix = _loadtxt(path, max_rows=n + 1)
-                    if len(matrix) <= n:
-                        return matrix
+            first = _loadtxt(path, max_rows=1)
+            n = first.shape[1]
+            # A row of n values takes at least 2n - 1 bytes.
+            if len(first) and os.path.getsize(path) >= n * (2 * n - 1):
+                matrix = _loadtxt(path, max_rows=n + 1)
+                if len(matrix) <= n:
+                    return matrix
         return _loadtxt(path)
     except ValueError as exc:
         raise GraphValidationError(f"cannot parse matrix file {path}: {exc}") from exc
@@ -323,6 +324,14 @@ def _read_view(path, transform: str) -> np.ndarray:
     view = apply_transform(view, transform)
     view.setflags(write=False)
     return view
+
+
+def probe_node_count(manifest_path) -> int:
+    """The count of values in the first row of a manifest's first view
+    file, which is the graph's node count n if the graph is valid. Of the
+    view files, only that row is parsed, and no view is checked."""
+    paths, _, _ = read_manifest(manifest_path)
+    return _loadtxt(paths[0], max_rows=1).shape[1]
 
 
 def load_view(path, transform: str) -> np.ndarray:

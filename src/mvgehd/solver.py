@@ -68,7 +68,10 @@ the graph:
     block product; no n-by-n operator is formed. Each product reads every
     view once, in cache-sized row blocks: a block's rows of Z and its share
     of W_v^T Z are formed while the block is still in cache (see
-    ViewOperator.apply). It is preconditioned by Jacobi, X -> X / diag(B)
+    ViewOperator.apply). Step 1's residuals are formed in the same row
+    blocks, which keeps their products, like the applies', on the calling
+    thread rather than BLAS's helper thread at small k (see
+    _APPLY_BLOCK_BYTES). It is preconditioned by Jacobi, X -> X / diag(B)
     for the summed operator B, with diag(B) summed over the views from
     their affinities and degrees in O(m n^2).
     The first step starts from a fixed seeded Gaussian block, so repeat
@@ -110,11 +113,15 @@ _MATRIX_FREE_MIN_N = 200
 # 18 and 15 under a cap of 15.
 _MATRIX_FREE_TOL = 1e-10
 _MATRIX_FREE_MAX_ITERS = 60
-# Bytes of a view that ViewOperator.apply reads per row block, so that the
-# block is still in a core's L2 cache when its transpose is read. On a
-# 2 MiB-L2 host, an apply of 3 n = 800 views to 10 columns took 2.4-2.6 ms
-# with 384-768 KiB blocks, 3.7 ms with 1 MiB and 3.8 ms unblocked; at 5
-# columns 512 KiB-1 MiB were equal.
+# Bytes of a view that ViewOperator.apply and ViewOperator.residual read per
+# row block. In apply, the block is then still in a core's L2 cache when its
+# transpose is read. On a 2 MiB-L2 host, an apply of 3 n = 800 views to 10
+# columns took 2.4-2.6 ms with 384-768 KiB blocks, 3.7 ms with 1 MiB and
+# 3.8 ms unblocked; at 5 columns 512 KiB-1 MiB were equal. Blocks also keep
+# each product on the calling thread: OpenBLAS ran an 82-row block (n = 800)
+# times 5 columns there alone, but split the whole view's product onto a
+# second thread, which on a shared 2-vCPU host was seen to stall it for
+# 4-8 ms against 0.45 ms, and whose first use adds about 2.6 MB of RSS.
 _APPLY_BLOCK_BYTES = 2 ** 19
 
 
@@ -182,12 +189,16 @@ class ViewOperator:
         return cls(*affinity_and_degrees(view, isolated_policy))
 
     def residual(self, embedding: np.ndarray) -> np.ndarray:
-        """Residual of each row against its neighbor average: F - W F."""
+        """Residual of each row against its neighbor average: F - W F,
+        formed in apply's row blocks, block R's rows from A_R F."""
         f = np.asarray(embedding, dtype=np.float64)
         if f.shape[0] != self.affinity.shape[0]:
             raise ValueError(
                 f"embedding has {f.shape[0]} rows for a {self.affinity.shape[0]}-node view")
-        return f - (self.affinity @ f) / self.degrees[:, None]
+        out = np.empty(f.shape)
+        for r, a_r, d_r in self._row_blocks():
+            out[r] = f[r] - (a_r @ f) / d_r
+        return out
 
     def add_operator(self, total: np.ndarray, row_scale: np.ndarray) -> np.ndarray:
         """Add M^T S M, S = diag(row_scale), into the lower triangle of the
@@ -211,13 +222,9 @@ class ViewOperator:
         in row blocks R of about _APPLY_BLOCK_BYTES: Z_R from A_R X, then
         A_R^T (Z_R / d_R) while A_R is still in cache. Returns Z - W^T Z.
         """
-        a, d = self.affinity, self.degrees
-        rows = max(1, _APPLY_BLOCK_BYTES // (a.itemsize * a.shape[0]))
         z = np.empty(block.shape)
         back = None
-        for start in range(0, a.shape[0], rows):
-            r = slice(start, start + rows)
-            a_r, d_r = a[r], d[r, None]
+        for r, a_r, d_r in self._row_blocks():
             z[r] = row_scale[r, None] * (block[r] - (a_r @ block) / d_r)
             part = a_r.T @ (z[r] / d_r)
             # The first block's product is taken as it is, not added to
@@ -227,6 +234,15 @@ class ViewOperator:
             else:
                 back += part
         return z - back
+
+    def _row_blocks(self):
+        """The view's rows in blocks of about _APPLY_BLOCK_BYTES: for each
+        block R, the slice R, A_R and d_R as a column."""
+        a, d = self.affinity, self.degrees
+        rows = max(1, _APPLY_BLOCK_BYTES // (a.itemsize * a.shape[0]))
+        for start in range(0, a.shape[0], rows):
+            r = slice(start, start + rows)
+            yield r, a[r], d[r, None]
 
     def diagonal(self, row_scale: np.ndarray) -> np.ndarray:
         """diag(M^T S M)_i = s_i (1 - 2 W_ii) + sum_j s_j W_ji^2 with

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import mvgehd.cli
 from mvgehd.cli import (_FILE_WORKERS, _embed_config, _ordered_map, _spec_from_args,
                         _worker_count, build_parser, main)
 from mvgehd.clustering import KMeansConfig
-from mvgehd.graph import load_matrix_csv, save_matrix_csv
+from mvgehd.graph import load_matrix_csv, load_multiview, save_matrix_csv
 from mvgehd.solver import EmbedConfig
 from mvgehd.synth import PlantedSpec, planted_layout
 
@@ -618,6 +619,30 @@ class TestSubjectPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "IsolatedNodeError"
         assert err["message"] == "node 7 has zero degree (isolated)"
+
+    @pytest.mark.parametrize("broken", ["missing", "unparsable"])
+    def test_first_subject_fails_with_its_own_load_error(self, cohort_dir, tmp_path, capsys,
+                                                         broken):
+        # The command reads the first row of the first subject's first view
+        # file before any subject loads, to choose its SciPy imports. A file
+        # it cannot read fails as that subject's load fails.
+        subjects = [cohort_dir / p for p in read(cohort_dir / "cohort.json")["subjects"]]
+        bad = tmp_path / "bad"
+        shutil.copytree(subjects[0].parent, bad)
+        view = bad / "view_0.csv"
+        if broken == "missing":
+            view.unlink()
+        else:
+            view.write_text("a,b\n")
+        cohort = tmp_path / "cohort.json"
+        cohort.write_text(json.dumps({"subjects": [str(bad / "manifest.json"),
+                                                   *map(str, subjects[1:])]}))
+        with pytest.raises((OSError, ValueError)) as want:
+            load_multiview(bad / "manifest.json")
+        assert run("cluster-subjects", "--cohort", cohort, "--embed-k", 3,
+                   "--out", tmp_path / "subj.json") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": type(want.value).__name__, "message": str(want.value)}
 
 
 class TestRowBlockFiles:

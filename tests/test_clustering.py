@@ -141,6 +141,22 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
 
+    def test_rejects_k_above_distinct_points(self, monkeypatch):
+        # Eight points at two locations: with k = 4, Lloyd would re-seed an
+        # empty cluster on every iteration of every restart, up to its cap.
+        def no_restart(*args):
+            raise AssertionError("a restart was drawn")
+
+        monkeypatch.setattr(mvgehd.clustering, "_init_centers", no_restart)
+        pts = np.array([[1.0, 2.0]] * 5 + [[3.0, -1.0]] * 3)
+        with pytest.raises(ValueError, match="k=4 is more than the 2 distinct points"):
+            kmeans(pts, 4, KMeansConfig(restarts=6, seed=5))
+
+    def test_k_of_distinct_points_splits_them(self):
+        pts = np.array([[1.0, 2.0]] * 5 + [[3.0, -1.0]] * 3)
+        labels = kmeans(pts, 2, KMeansConfig(restarts=6, seed=5))
+        np.testing.assert_array_equal(labels == labels[0], [True] * 5 + [False] * 3)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(30, 3))
@@ -183,9 +199,9 @@ class TestBatchedKMeansIsTheOracle:
         for _ in range(40):
             n = int(rng.integers(1, 60))
             pts = random_points(rng, n, int(rng.choice([1, 2, 3, 5, 20])), kind)
-            # With fewer distinct points than k, Lloyd re-seeds empty
-            # clusters on every iteration up to its cap; one case below
-            # does that, here it would only slow the oracle.
+            # kmeans rejects k above the number of distinct points, where
+            # Lloyd re-seeds empty clusters on every iteration up to its
+            # cap; one case below runs Lloyd there.
             k = int(rng.integers(1, min(distinct(pts), 8) + 1))
             config = KMeansConfig(restarts=int(rng.choice([1, 2, 7, 20])),
                                   seed=int(rng.integers(1000)))
@@ -242,7 +258,8 @@ class TestBatchedKMeansIsTheOracle:
         centers = _init_centers(pts, 4, restart_rngs(config))
         assert any(len(np.unique(c, axis=0)) < 4 for c in centers)
         assert_batch_is_oracle(pts, centers, *_lloyd(pts, centers, 300))
-        np.testing.assert_array_equal(kmeans(pts, 4, config), oracle_kmeans(pts, 4, config)[0])
+        with pytest.raises(ValueError, match="k=4 is more than the 2 distinct points"):
+            kmeans(pts, 4, config)
 
     def test_one_dimension_sums_as_mean_does(self):
         # mean() adds a column of 8 or more values pairwise, not in row

@@ -244,3 +244,5 @@ def test_cohort_commands_load_no_scipy_optimize(cohort_n60, tmp_path, command):
     held = [result["scipy"]] + [modules for _, _, modules in tasks]
     assert all("scipy.linalg" in modules for modules in held)
     assert not [m for modules in held for m in modules if m.startswith("scipy.optimize")]
+    # Subjects below solver._MATRIX_FREE_MIN_N nodes solve dense.
+    assert not [m for modules in held for m in modules if m.startswith("scipy.sparse")]

@@ -261,7 +261,8 @@ class TestViewDiagonal:
 
 
 def patch_apply_block_rows(monkeypatch, rows, n):
-    """Make ViewOperator.apply read an n-node view in blocks of `rows` rows."""
+    """Make ViewOperator.apply and ViewOperator.residual read an n-node view
+    in blocks of `rows` rows."""
     monkeypatch.setattr(mvgehd.solver, "_APPLY_BLOCK_BYTES", rows * 8 * n)
 
 
@@ -295,6 +296,36 @@ class TestViewApply:
             x = rng.normal(size=(n, k))
             z = s[:, None] * (x - (a @ x) / d)
             assert op.apply(x, s).tobytes() == (z - a.T @ (z / d)).tobytes()
+
+
+class TestViewResidual:
+    """ViewOperator.residual in row blocks, checked against F - (A F) / d."""
+
+    @pytest.mark.parametrize("case", OPERATOR_CASES)
+    def test_matches_whole_view_product(self, monkeypatch, case):
+        rng = np.random.default_rng(36)
+        # One block; blocks of 4, 4 and 1 rows; one row a block.
+        for rows in (9, 4, 1):
+            patch_apply_block_rows(monkeypatch, rows, 9)
+            for _ in range(3):
+                op = case_operator(rng, case)
+                f = rng.normal(size=(9, 4))
+                want = f - (op.affinity @ f) / op.degrees[:, None]
+                np.testing.assert_allclose(op.residual(f), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [9, 200])
+    @pytest.mark.parametrize("case", OPERATOR_CASES)
+    def test_one_block_is_the_whole_view_product(self, case, n):
+        rng = np.random.default_rng(37)
+        op = case_operator(rng, case, n)
+        assert 8 * n * n <= mvgehd.solver._APPLY_BLOCK_BYTES
+        for k in (1, 3, 5):
+            # The solver's embeddings are column slices of Fortran-ordered
+            # eigenvector blocks.
+            sliced = np.asfortranarray(rng.normal(size=(n, k + 1)))[:, 1:]
+            for f in (rng.normal(size=(n, k)), sliced):
+                want = f - (op.affinity @ f) / op.degrees[:, None]
+                assert op.residual(f).tobytes() == want.tobytes()
 
 
 class TestAutoViewWeights:
@@ -683,7 +714,7 @@ class TestMatrixFreeEigenStep:
 
     def test_many_block_applies_match_dense_oracle(self, monkeypatch):
         # Each view read in 43 blocks, the last of 6 rows: the blocked
-        # apply of a large view, without a large dense solve.
+        # apply and residual of a large view, without a large dense solve.
         patch_apply_block_rows(monkeypatch, 7, 300)
         assert_matches_dense_oracle(monkeypatch, planted_graph(300, 0), EmbedConfig(k=3))
 
