@@ -17,17 +17,18 @@ machine-readable JSON object to stderr and exit nonzero.
 
 Each command runs its tasks on at most one pool of worker processes,
 started with fork at the first task, which yields results in task order.
-Cohort commands (cluster-subjects, sweep-k) parse each subject in one task,
-check that the subjects share one node count n with room for the embedding
-dimension, and then embed each subject, at every k asked for, in one task;
-sweep-k then scores each k in one task. generate writes the view files
-that are larger than graph.BLOCK_BYTES in blocks of rows, on at most 8
-workers, so a graph whose files each fit in one block starts none. embed
-and hubs read their files in this process and start no worker. The
-MVGEHD_THREADS environment variable caps the worker processes (default:
-the cores this process may run on); the commands that start workers check
-it before any view file is read or written, and at 1 no worker starts:
-every task runs in this process. A worker exits once this process is gone.
+Cohort commands (cluster-subjects, sweep-k) read every subject in this
+process and check that the subjects share one node count n with room for
+the embedding dimension; then the workers embed each subject, at every k
+asked for, in one task, and sweep-k scores each k in one task. generate
+writes the view files that are larger than graph.BLOCK_BYTES in blocks of
+rows, on at most 8 workers, so a graph whose files each fit in one block
+starts none. embed and hubs read their files in this process and start no
+worker. The MVGEHD_THREADS environment variable caps the worker processes
+(default: the cores this process may run on); the commands that start
+workers check it before any view file is read or written, and at 1 no
+worker starts: every task runs in this process. A worker exits once this
+process is gone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
 from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_view,
-                    probe_node_count, read_manifest, save_matrix_csv, save_multiview)
+                    read_manifest, save_matrix_csv, save_multiview)
 from .hubs import HUB_METHODS, betweenness, check_selection, hub_report, hub_scores
 from .metrics import as_labels, evaluate
 from .solver import _MATRIX_FREE_MIN_N, EmbedConfig, solve
@@ -192,42 +193,12 @@ def _embed_subject(graph, configs) -> list:
     return [solve(graph, config)[0] for config in configs]
 
 
-def _load_subject(manifest):
-    """One subject's graph, for a cohort worker. The pool pickles this
-    function by name, and it looks `load_multiview` up in this module when
-    it runs, so the pool never pickles what that name is bound to."""
-    return load_multiview(manifest)
-
-
-def _load_cohort(mapper, manifests: list, k: int, flag: str) -> list:
-    """Every subject's graph, parsed by `mapper`. Raises unless the subjects
-    share one node count n and k, the value of `flag`, has k + 1 <= n,
-    which a solve or the scoring would otherwise find only after others."""
-    # The package imports SciPy only inside the functions that call it, so
-    # every SciPy module a cohort worker can reach is imported here, once,
-    # before the first task forks the workers: `scipy.linalg` for the dense
-    # eigen-steps of a solve and the spectral step of sweep-k's scoring,
-    # `scipy.sparse.linalg` for the matrix-free eigen-steps; the scoring's
-    # label matching (`metrics.hungarian`) is numpy alone. Otherwise every
-    # worker imports them again on its first task, about 0.5 s of CPU each:
-    # on the cohort benchmark, that took sweep-k from 3.7 s to 4.3-4.5 s.
-    # Only subjects of at least _MATRIX_FREE_MIN_N nodes can solve
-    # matrix-free, so `scipy.sparse.linalg`, about 3.5 MB of the cohort
-    # benchmark's peak RSS, is imported only for them, judged by the first
-    # row of the first subject's first view file. Workers keep the BLAS
-    # library's default thread count, so subjects with n >= 200, whose
-    # solves run BLAS-threaded matrix products, would oversubscribe the
-    # cores with several BLAS threads per worker.
-    import scipy.linalg  # noqa: F401
-    try:
-        large = probe_node_count(manifests[0]) >= _MATRIX_FREE_MIN_N
-    except (OSError, ValueError):
-        # The subject's own load reports the error.
-        large = False
-    if large:
-        import scipy.sparse.linalg  # noqa: F401
-
-    graphs = list(mapper(_load_subject, manifests))
+def _load_cohort(manifests: list, k: int, flag: str) -> list:
+    """Every subject's graph, read in this process. Raises unless the
+    subjects share one node count n and k, the value of `flag`, has
+    k + 1 <= n, which a solve or the scoring would otherwise find only
+    after others."""
+    graphs = [load_multiview(manifest) for manifest in manifests]
     n = graphs[0].n
     for manifest, graph in zip(manifests, graphs):
         if graph.n != n:
@@ -235,6 +206,13 @@ def _load_cohort(mapper, manifests: list, k: int, flag: str) -> list:
                 f"subject {manifest} has {graph.n} nodes, but {manifests[0]} has {n}")
     if k + 1 > n:
         raise ValueError(f"need {flag} + 1 <= {n}, the subjects' node count, got {flag} {k}")
+    # Imported before the first task forks the workers, which inherit them;
+    # otherwise each worker imports them on its first task, about 0.5 s of
+    # CPU each. Only subjects that can solve matrix-free reach
+    # `scipy.sparse.linalg`, about 3.5 MB of the cohort benchmark's peak RSS.
+    import scipy.linalg  # noqa: F401
+    if n >= _MATRIX_FREE_MIN_N:
+        import scipy.sparse.linalg  # noqa: F401
     return graphs
 
 
@@ -329,7 +307,7 @@ def _cohort_manifests(cohort_path) -> list:
     obj = json.loads(cohort_path.read_text())
     if "subjects" not in obj:
         raise ValueError(f"{cohort_path} has no 'subjects' field")
-    # Subject clustering splits the cohort in two.
+    # A cohort of one subject has nothing to cluster.
     if len(obj["subjects"]) < 2:
         raise ValueError(f"need at least 2 subjects, got {len(obj['subjects'])}")
     return [cohort_path.parent / p for p in obj["subjects"]]
@@ -342,8 +320,8 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
     if not 1 <= args.k <= len(manifests):
         raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
+    graphs = _load_cohort(manifests, args.embed_k, "--embed-k")
     with _ordered_map(workers) as mapper:
-        graphs = _load_cohort(mapper, manifests, args.embed_k, "--embed-k")
         embeddings = [runs[0] for runs in mapper(_embed_subject, graphs, repeat([config]))]
     labels = cluster_subjects(embeddings, args.k, kmeans_config)
     _write_json(args.out, {"k": args.k, "labels": labels}, args)
@@ -354,16 +332,17 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     _write_json(args.out, asdict(result), args)
 
 
-def _score_k(k: int, embeddings, truth, repeats: int, restarts: int,
+def _score_k(k: int, embeddings, truth, groups: int, repeats: int, restarts: int,
              seed: int | None) -> dict:
     """ACC / NMI mean and std over `repeats` seeded clusterings of one k's
-    embeddings; the spectral step is shared, only k-means is reseeded."""
-    rows = spectral_rows(embeddings, 2)
+    embeddings into `groups` clusters; the spectral step is shared, only
+    k-means is reseeded."""
+    rows = spectral_rows(embeddings, groups)
     accs, nmis = [], []
     for rep in range(repeats):
         rep_seed = int(np.random.SeedSequence(
             [0 if seed is None else seed, k, rep]).generate_state(1)[0])
-        labels = kmeans(rows, 2, KMeansConfig(restarts=restarts, seed=rep_seed))
+        labels = kmeans(rows, groups, KMeansConfig(restarts=restarts, seed=rep_seed))
         result = evaluate(labels, truth)
         accs.append(result.acc)
         nmis.append(result.nmi)
@@ -388,12 +367,17 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
     workers = _worker_count()
     manifests = _cohort_manifests(args.cohort)
     truth = _read_labels(args.truth)
+    # Subjects are clustered into as many groups as the truth has.
+    groups = len(np.unique(truth))
+    if not 2 <= groups <= len(manifests):
+        raise ValueError(
+            f"need 2 <= truth groups <= {len(manifests)} subjects, got {groups} groups")
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
+    graphs = _load_cohort(manifests, args.k_max, "--k-max")
     with _ordered_map(workers) as mapper:
-        graphs = _load_cohort(mapper, manifests, args.k_max, "--k-max")
         per_subject = list(mapper(_embed_subject, graphs, repeat(configs)))
-        score = partial(_score_k, truth=truth, repeats=args.repeats,
+        score = partial(_score_k, truth=truth, groups=groups, repeats=args.repeats,
                         restarts=args.restarts, seed=args.seed)
         rows = list(mapper(score, ks, zip(*per_subject)))
     best = max(rows, key=lambda r: r["acc_mean"])

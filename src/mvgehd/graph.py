@@ -326,14 +326,6 @@ def _read_view(path, transform: str) -> np.ndarray:
     return view
 
 
-def probe_node_count(manifest_path) -> int:
-    """The count of values in the first row of a manifest's first view
-    file, which is the graph's node count n if the graph is valid. Of the
-    view files, only that row is parsed, and no view is checked."""
-    paths, _, _ = read_manifest(manifest_path)
-    return _loadtxt(paths[0], max_rows=1).shape[1]
-
-
 def load_view(path, transform: str) -> np.ndarray:
     """One view file, read and validated as load_multiview reads each view."""
     return validate_affinity(_read_view(path, transform))

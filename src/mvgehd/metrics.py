@@ -21,7 +21,12 @@ _TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Accuracy, NMI, and the label bijection accuracy used."""
+    """Accuracy, NMI, and the label bijection accuracy used.
+
+    mapping[i] = j maps the i-th smallest label that occurs in either input,
+    as a prediction, onto the j-th smallest, as a truth (see
+    contingency_table); when the labels are 0..k-1, label i onto label j.
+    """
     acc: float
     nmi: float
     mapping: np.ndarray
@@ -167,15 +172,18 @@ def _check_labels(pred, truth):
 
 
 def contingency_table(pred, truth) -> np.ndarray:
-    """Square count matrix over the union label alphabet.
+    """Square count matrix over the sorted union of the labels that occur.
 
-    Entry [i, j] counts samples with predicted label i and true label j;
-    the smaller alphabet is padded with empty labels so the table is square.
+    With `labels` that union, entry [i, j] counts samples with predicted
+    label labels[i] and true label labels[j]; a label that occurs on one
+    side only has an empty row or column there, so the table is square.
+    When the labels are 0..k-1, index i is label i.
     """
     p, t = _check_labels(pred, truth)
-    k = int(max(p.max(), t.max())) + 1
+    labels, index = np.unique(np.concatenate([p, t]), return_inverse=True)
+    k = len(labels)
     table = np.zeros((k, k), dtype=np.int64)
-    np.add.at(table, (p, t), 1)
+    np.add.at(table, (index[:len(p)], index[len(p):]), 1)
     return table
 
 

@@ -390,7 +390,7 @@ class TestSubjectPipeline:
         # fresh interpreter and its own process group, so a hang ends at the
         # timeout with the command and its workers killed.
         script = ("import sys, mvgehd.cli\n"
-                  "mvgehd.cli._load_subject = lambda manifest: None\n"
+                  "mvgehd.cli._embed_subject = lambda graph, configs: None\n"
                   "sys.exit(mvgehd.cli.main(sys.argv[1:]))\n")
         src = Path(mvgehd.cli.__file__).resolve().parent.parent
         env = dict(os.environ, MVGEHD_THREADS="2", PYTHONPATH=os.pathsep.join(
@@ -412,16 +412,16 @@ class TestSubjectPipeline:
         assert not (tmp_path / "sweep.json").exists()
 
     def test_workers_exit_when_the_command_is_killed(self, cohort_dir, tmp_path):
-        # Each subject's load logs its worker's pid and sleeps, so the
+        # Each subject's embedding logs its worker's pid and sleeps, so the
         # command is killed with both workers in a task. It runs in a fresh
         # interpreter in its own session, so what is left can be killed.
         log = tmp_path / "pids.txt"
         script = ("import os, sys, time, mvgehd.cli\n"
-                  "def slow_load(manifest):\n"
+                  "def slow_embed(graph, configs):\n"
                   "    with open(os.environ['PID_LOG'], 'a') as f:\n"
                   "        f.write(f'{os.getpid()}\\n')\n"
                   "    time.sleep(60)\n"
-                  "mvgehd.cli._load_subject = slow_load\n"
+                  "mvgehd.cli._embed_subject = slow_embed\n"
                   "sys.exit(mvgehd.cli.main(sys.argv[1:]))\n")
         src = Path(mvgehd.cli.__file__).resolve().parent.parent
         env = dict(os.environ, MVGEHD_THREADS="2", PID_LOG=str(log), PYTHONPATH=os.pathsep.join(
@@ -448,9 +448,9 @@ class TestSubjectPipeline:
                     os.killpg(proc.pid, signal.SIGKILL)
 
     def test_sweep_loads_each_subject_once(self, cohort_dir, tmp_path, monkeypatch):
-        # Subjects load on the pool's two workers, which fork after the
-        # patch and append a line per load to one file, so loads in every
-        # process are counted.
+        # Every load appends a line to one file, whichever process it runs
+        # in; the pool's two workers fork after the patch, so a load on a
+        # worker would be counted too.
         log = tmp_path / "loads.txt"
         load = mvgehd.cli.load_multiview
 
@@ -467,7 +467,7 @@ class TestSubjectPipeline:
                    "--seed", 0, "--out", tmp_path / "sweep.json") == 0
         pids, loaded = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
         assert len(loaded) == 16 and len(set(loaded)) == 16
-        assert str(os.getpid()) not in pids
+        assert set(pids) == {str(os.getpid())}
 
     @pytest.mark.parametrize("flags, message", [
         (["--k-min", 9, "--k-max", 5], "--k-min"),
@@ -490,6 +490,39 @@ class TestSubjectPipeline:
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]
+        assert not out.exists()
+
+    def test_sweep_splits_into_the_truth_groups(self, cohort_dir, tmp_path):
+        # Three distinct subjects, each listed three times: a split into
+        # the truth's three groups scores 1, a split in two at most 6/9.
+        subjects = read(cohort_dir / "cohort.json")["subjects"]
+        cohort = tmp_path / "cohort.json"
+        cohort.write_text(json.dumps({"subjects": [
+            str(cohort_dir / subjects[i]) for i in (0, 0, 0, 8, 8, 8, 1, 1, 1)]}))
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"labels": [2, 2, 2, 0, 0, 0, 1, 1, 1]}))
+        out = tmp_path / "sweep.json"
+        assert run("sweep-k", "--cohort", cohort, "--truth", truth, "--k-min", 3,
+                   "--k-max", 4, "--repeats", 2, "--seed", 0, "--out", out) == 0
+        for row in read(out)["rows"]:
+            assert row["acc_mean"] == row["nmi_mean"] == 1.0
+
+    @pytest.mark.parametrize("labels, groups", [([0] * 16, 1), (list(range(17)), 17)])
+    def test_sweep_truth_groups_checked_before_loading(self, cohort_dir, tmp_path, capsys,
+                                                       monkeypatch, labels, groups):
+        def fail(path):
+            raise AssertionError("a subject was loaded before the truth check")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"labels": labels}))
+        out = tmp_path / "sweep.json"
+        code = run("sweep-k", "--cohort", cohort_dir / "cohort.json", "--truth", truth,
+                   "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"need 2 <= truth groups <= 16 subjects, got {groups} groups"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -623,9 +656,8 @@ class TestSubjectPipeline:
     @pytest.mark.parametrize("broken", ["missing", "unparsable"])
     def test_first_subject_fails_with_its_own_load_error(self, cohort_dir, tmp_path, capsys,
                                                          broken):
-        # The command reads the first row of the first subject's first view
-        # file before any subject loads, to choose its SciPy imports. A file
-        # it cannot read fails as that subject's load fails.
+        # A view file of the first subject that cannot be read fails the
+        # command with the error of that subject's own load.
         subjects = [cohort_dir / p for p in read(cohort_dir / "cohort.json")["subjects"]]
         bad = tmp_path / "bad"
         shutil.copytree(subjects[0].parent, bad)

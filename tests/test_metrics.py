@@ -81,6 +81,14 @@ def direct_nmi(pred, truth):
     return mi / math.sqrt(hx * hy)
 
 
+def padded_table(pred, truth):
+    """Count table over labels 0..max, whatever labels occur."""
+    k = int(max(max(pred), max(truth))) + 1
+    table = np.zeros((k, k), dtype=np.int64)
+    np.add.at(table, (pred, truth), 1)
+    return table
+
+
 class TestHungarian:
     def test_diagonal_optimal(self):
         perm = hungarian(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -157,8 +165,9 @@ class TestHungarianOracles:
         np.testing.assert_array_equal(lsa_hungarian(cost), [0, 1])
 
     def test_padded_tables_match_reference(self):
-        # Negated contingency tables whose alphabets have gaps or one far
-        # label: zero rows and zero columns, all tied with one another.
+        # Negated count tables sized by the largest label, so alphabets
+        # with gaps or one far label give zero rows and zero columns, all
+        # tied with one another.
         rng = np.random.default_rng(12)
         for trial in range(40):
             n = int(rng.integers(5, 91))
@@ -166,11 +175,11 @@ class TestHungarianOracles:
             truth = rng.integers(0, int(rng.integers(1, 5)), size=n)
             far = rng.integers(0, n, size=int(rng.integers(1, 3)))
             (pred if trial % 2 else truth)[far] = rng.integers(5, 40, size=far.size)
-            cost = -contingency_table(pred, truth).astype(np.float64)
+            cost = -padded_table(pred, truth).astype(np.float64)
             np.testing.assert_array_equal(hungarian(cost), lsa_hungarian(cost))
         pred = rng.integers(0, 3, size=90)
         pred[0] = 200
-        cost = -contingency_table(pred, rng.integers(0, 3, size=90)).astype(np.float64)
+        cost = -padded_table(pred, rng.integers(0, 3, size=90)).astype(np.float64)
         np.testing.assert_array_equal(hungarian(cost), lsa_hungarian(cost))
 
     @pytest.mark.parametrize("cost", [np.zeros((0, 0)), np.array([[3.5]]), np.array([[-1.0]])])
@@ -278,6 +287,33 @@ class TestEvaluate:
         as_floats = evaluate(np.array(pred, dtype=float), [float(t) for t in truth])
         assert (as_floats.acc, as_floats.nmi) == (as_ints.acc, as_ints.nmi)
         np.testing.assert_array_equal(as_floats.mapping, as_ints.mapping)
+
+    def test_table_covers_the_labels_that_occur(self):
+        # Labels far apart give a table of the labels present, not one
+        # sized by the largest label.
+        res = evaluate([0, 2**32], [0, 1])
+        assert (res.acc, res.nmi) == (1.0, 1.0)
+        np.testing.assert_array_equal(res.mapping, [0, 2, 1])
+        table = contingency_table([1000, 1000, 3, 7], [5, 5, 3, 3])
+        np.testing.assert_array_equal(table, [[1, 0, 0, 0],
+                                              [0, 0, 0, 0],
+                                              [1, 0, 0, 0],
+                                              [0, 2, 0, 0]])
+        np.testing.assert_array_equal(evaluate([1000, 1000, 3, 7], [5, 5, 3, 3]).mapping,
+                                      [0, 2, 3, 1])
+
+    def test_contiguous_labels_keep_the_padded_table(self):
+        # When the labels that occur are 0..k-1, the table is the one
+        # sized by the largest label, so acc, NMI and mapping are unchanged.
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            k = int(rng.integers(1, 6))
+            n = int(rng.integers(k, 60))
+            pred = rng.integers(0, k, size=n)
+            truth = rng.integers(0, int(rng.integers(1, k + 1)), size=n)
+            (pred if rng.integers(2) else truth)[:k] = np.arange(k)
+            np.testing.assert_array_equal(contingency_table(pred, truth),
+                                          padded_table(pred, truth))
 
     def test_builds_one_contingency_table(self, monkeypatch):
         pred, truth = [0, 2, 1, 1, 2, 0], [1, 1, 0, 0, 2, 2]
