@@ -17,6 +17,8 @@ machine-readable JSON object to stderr and exit nonzero.
 
 Each command runs its tasks on at most one pool of worker processes,
 started with fork at the first task, which yields results in task order.
+The pool's modules (multiprocessing, concurrent.futures) are imported
+there too, so a command that starts no worker does not load them.
 Cohort commands (cluster-subjects, sweep-k) read every subject in this
 process and check that the subjects share one node count n with room for
 the embedding dimension; then the workers embed each subject, at every k
@@ -37,12 +39,9 @@ import argparse
 import collections
 import contextlib
 import json
-import multiprocessing
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import partial
 from itertools import repeat
@@ -56,7 +55,7 @@ from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_vie
                     read_manifest, save_matrix_csv, save_multiview)
 from .hubs import HUB_METHODS, betweenness, check_selection, hub_report, hub_scores
 from .metrics import as_labels, evaluate
-from .solver import _MATRIX_FREE_MIN_N, EmbedConfig, solve
+from .solver import EmbedConfig, _matrix_free_applies, solve
 from .synth import PlantedSpec, generate_cohort, generate_multiview
 
 
@@ -135,6 +134,8 @@ def _exit_with_parent(parent: int) -> None:
     once that is gone, the worker exits. A worker waits on its task queue,
     whose writing end it holds itself, so it would otherwise outlive a
     command killed by a signal, reparented and idle, holding its memory."""
+    import threading
+
     def watch():
         while os.getppid() == parent:
             time.sleep(0.5)
@@ -167,6 +168,9 @@ def _ordered_map(workers: int):
     def ordered_map(fn, *iterables):
         nonlocal pool
         if pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"),
                                        initializer=_exit_with_parent,
@@ -193,25 +197,26 @@ def _embed_subject(graph, configs) -> list:
     return [solve(graph, config)[0] for config in configs]
 
 
-def _load_cohort(manifests: list, k: int, flag: str) -> list:
+def _load_cohort(manifests: list, ks, flag: str) -> list:
     """Every subject's graph, read in this process. Raises unless the
-    subjects share one node count n and k, the value of `flag`, has
-    k + 1 <= n, which a solve or the scoring would otherwise find only
-    after others."""
+    subjects share one node count n and the largest embedding dimension k
+    in `ks`, the value of `flag`, has k + 1 <= n, which a solve or the
+    scoring would otherwise find only after others."""
     graphs = [load_multiview(manifest) for manifest in manifests]
     n = graphs[0].n
     for manifest, graph in zip(manifests, graphs):
         if graph.n != n:
             raise ValueError(
                 f"subject {manifest} has {graph.n} nodes, but {manifests[0]} has {n}")
-    if k + 1 > n:
-        raise ValueError(f"need {flag} + 1 <= {n}, the subjects' node count, got {flag} {k}")
+    k_max = max(ks)
+    if k_max + 1 > n:
+        raise ValueError(f"need {flag} + 1 <= {n}, the subjects' node count, got {flag} {k_max}")
     # Imported before the first task forks the workers, which inherit them;
     # otherwise each worker imports them on its first task, about 0.5 s of
-    # CPU each. Only subjects that can solve matrix-free reach
-    # `scipy.sparse.linalg`, about 3.5 MB of the cohort benchmark's peak RSS.
+    # CPU each. Only matrix-free solves reach `scipy.sparse.linalg`, about
+    # 3.5 MB of the cohort benchmark's peak RSS.
     import scipy.linalg  # noqa: F401
-    if n >= _MATRIX_FREE_MIN_N:
+    if any(_matrix_free_applies(graph, k) for graph in graphs for k in ks):
         import scipy.sparse.linalg  # noqa: F401
     return graphs
 
@@ -320,7 +325,7 @@ def cmd_cluster_subjects(args: argparse.Namespace) -> None:
     if not 1 <= args.k <= len(manifests):
         raise ValueError(f"need 1 <= --k <= {len(manifests)} subjects, got --k {args.k}")
     config = _embed_config(args, k=args.embed_k)
-    graphs = _load_cohort(manifests, args.embed_k, "--embed-k")
+    graphs = _load_cohort(manifests, [args.embed_k], "--embed-k")
     with _ordered_map(workers) as mapper:
         embeddings = [runs[0] for runs in mapper(_embed_subject, graphs, repeat([config]))]
     labels = cluster_subjects(embeddings, args.k, kmeans_config)
@@ -374,7 +379,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
             f"need 2 <= truth groups <= {len(manifests)} subjects, got {groups} groups")
     if len(truth) != len(manifests):
         raise ValueError(f"{len(truth)} truth labels for {len(manifests)} subjects")
-    graphs = _load_cohort(manifests, args.k_max, "--k-max")
+    graphs = _load_cohort(manifests, ks, "--k-max")
     with _ordered_map(workers) as mapper:
         per_subject = list(mapper(_embed_subject, graphs, repeat(configs)))
         score = partial(_score_k, truth=truth, groups=groups, repeats=args.repeats,

@@ -4,11 +4,12 @@ spectral step (mvgehd.clustering).
 The eigen-solves here call LAPACK's dense symmetric driver dsyevr, by way
 of scipy.linalg.lapack, which the first solve imports (importing this
 module does not). They serve every eigen-step of the graphs the solver's
-matrix-free rule leaves out (below n = 200, or with a disconnected union
-graph), and redo any matrix-free step that misses its residual check; the
-solver runs the steps of other graphs matrix-free, by LOBPCG, and checks
-those against this dense path (see mvgehd.solver). dsyevr, like
-scipy.linalg.eigh, reads only the lower triangle of a symmetric matrix.
+matrix-free rule leaves out (below n = 80 (k + 1) nodes for k embedding
+columns, or with a disconnected union graph), and redo any matrix-free
+step that misses its residual check; the solver runs the steps of other
+graphs matrix-free, by LOBPCG, and checks those against this dense path
+(see mvgehd.solver). dsyevr, like scipy.linalg.eigh, reads only the lower
+triangle of a symmetric matrix.
 """
 
 from __future__ import annotations

@@ -60,9 +60,10 @@ eigen-step only when one follows, so the pass that stops does none. Every
 eigen-step, the first (unit row weights) included, picks its backend from
 the graph:
 
-  - matrix-free, when n >= 200, n >= 5 (k + 1) and the union graph (an
-    edge wherever any view has one) is connected, which a breadth-first
-    search on a boolean mask decides. LOBPCG (Knyazev 2001) runs on the
+  - matrix-free, when n >= 80 (k + 1), the crossover measured at
+    _MATRIX_FREE_NODES_PER_PAIR, and the union graph (an edge wherever any
+    view has one) is connected, which a breadth-first search on a boolean
+    mask decides. LOBPCG (Knyazev 2001) runs on the
     map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
     Z = (alpha_v q_v) o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per
     block product; no n-by-n operator is formed. Each product reads every
@@ -70,8 +71,8 @@ the graph:
     of W_v^T Z are formed while the block is still in cache (see
     ViewOperator.apply). Step 1's residuals are formed in the same row
     blocks, which keeps their products, like the applies', on the calling
-    thread rather than BLAS's helper thread at small k (see
-    _APPLY_BLOCK_BYTES). It is preconditioned by Jacobi, X -> X / diag(B)
+    thread rather than BLAS's helper thread (see _APPLY_BLOCK_BYTES and
+    _APPLY_BLOCK_COLUMNS). It is preconditioned by Jacobi, X -> X / diag(B)
     for the summed operator B, with diag(B) summed over the views from
     their affinities and degrees in O(m n^2).
     The first step starts from a fixed seeded Gaussian block, so repeat
@@ -86,7 +87,7 @@ the graph:
     C_v^T C_v with C_v = sqrt(alpha_v q_v) o M_v, into the lower triangle of
     one n-by-n sum; a subset eigh that reads only that triangle returns the
     k + 1 smallest eigenpairs. This path is the oracle the matrix-free one
-    is tested against, and the faster one on small graphs.
+    is tested against, and the faster one below the crossover.
 """
 
 from __future__ import annotations
@@ -102,15 +103,26 @@ from .linalg import _fix_column_signs, smallest_eigenpairs
 # Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
 # embedding fits exactly has h_v = 0.
 _ALPHA_GUARD = 1e-12
-# Smallest graph whose eigen-steps may run matrix-free (see the module
-# docstring); below it the dense subset eigh is faster.
-_MATRIX_FREE_MIN_N = 200
+# Smallest n / (k + 1) whose eigen-steps may run matrix-free (see the module
+# docstring). A dense step costs O(n^3) whatever k, a LOBPCG iteration
+# O(m n^2 k), so the matrix-free path pays off from some multiple of k + 1
+# nodes. Whole solves were timed on both paths, on the embed and hubs
+# benchmark specs at n = 150..800 and k = 3, 5, 8, 10, 15 (seeds 1-2, and
+# 3-4 from n = 300; 260 cells, same iterations on both paths in each). The
+# dense path was faster in 39 of the 40 cells at n <= 200, the matrix-free
+# one in 30 of the 32 at k <= 5 and n >= 600. This rule picked the faster
+# path in 207 cells; its solves took 115 s in all, against 159 s with
+# every n >= 200 matrix-free and 105 s with the faster path in every cell.
+_MATRIX_FREE_NODES_PER_PAIR = 80
 # Residual norm every matrix-free eigenvector must reach, else the step is
 # redone dense. On planted graphs of the embed benchmark's spec at
-# n = 200..400 (seeds 0-3, 599 steps), a preconditioned step took at most 23
-# operator applies (median 10, p90 15), which is LOBPCG's iteration count
-# plus 3; none was redone dense under this cap of 60, 5 were under a cap of
-# 18 and 15 under a cap of 15.
+# n = 200..400 and k = 5, run matrix-free (seeds 0-3, 599 steps), a
+# preconditioned step took at most 23 operator applies (median 10, p90 15),
+# which is LOBPCG's iteration count plus 3; none was redone dense under this
+# cap of 60, 5 were under a cap of 18 and 15 under a cap of 15. At k >= 8
+# every matrix-free solve of the crossover grid (see
+# _MATRIX_FREE_NODES_PER_PAIR) redid 1 to 17 steps dense, a median of 1 or
+# 2; at k = 3 and 5, 4 of 104 solves redid 1 or 2 steps.
 _MATRIX_FREE_TOL = 1e-10
 _MATRIX_FREE_MAX_ITERS = 60
 # Bytes of a view that ViewOperator.apply and ViewOperator.residual read per
@@ -123,6 +135,14 @@ _MATRIX_FREE_MAX_ITERS = 60
 # second thread, which on a shared 2-vCPU host was seen to stall it for
 # 4-8 ms against 0.45 ms, and whose first use adds about 2.6 MB of RSS.
 _APPLY_BLOCK_BYTES = 2 ** 19
+# Products with more columns than this take blocks of proportionally fewer
+# rows, so a block's product, rows x n x columns, stays at most 15 x 2^16
+# multiply-adds. OpenBLAS 0.3.31 on 2 threads ran products of up to 983040
+# multiply-adds (an 81-row block of an n = 800 view times 15 columns, or a
+# 163-row one of n = 400) on the calling thread alone, and split every one
+# from 1024000 (16 columns) onto its second thread, where one took 533 us
+# against 63 us at 15 columns.
+_APPLY_BLOCK_COLUMNS = 15
 
 
 @dataclass(frozen=True)
@@ -196,7 +216,7 @@ class ViewOperator:
             raise ValueError(
                 f"embedding has {f.shape[0]} rows for a {self.affinity.shape[0]}-node view")
         out = np.empty(f.shape)
-        for r, a_r, d_r in self._row_blocks():
+        for r, a_r, d_r in self._row_blocks(f.shape[1]):
             out[r] = f[r] - (a_r @ f) / d_r
         return out
 
@@ -224,7 +244,7 @@ class ViewOperator:
         """
         z = np.empty(block.shape)
         back = None
-        for r, a_r, d_r in self._row_blocks():
+        for r, a_r, d_r in self._row_blocks(block.shape[1]):
             z[r] = row_scale[r, None] * (block[r] - (a_r @ block) / d_r)
             part = a_r.T @ (z[r] / d_r)
             # The first block's product is taken as it is, not added to
@@ -235,11 +255,14 @@ class ViewOperator:
                 back += part
         return z - back
 
-    def _row_blocks(self):
-        """The view's rows in blocks of about _APPLY_BLOCK_BYTES: for each
-        block R, the slice R, A_R and d_R as a column."""
+    def _row_blocks(self, columns: int):
+        """The view's rows in blocks of about _APPLY_BLOCK_BYTES, or of
+        proportionally fewer rows for a product with more than
+        _APPLY_BLOCK_COLUMNS `columns`: for each block R, the slice R, A_R
+        and d_R as a column."""
         a, d = self.affinity, self.degrees
-        rows = max(1, _APPLY_BLOCK_BYTES // (a.itemsize * a.shape[0]))
+        rows = max(1, _APPLY_BLOCK_BYTES * _APPLY_BLOCK_COLUMNS
+                   // (a.itemsize * a.shape[0] * max(columns, _APPLY_BLOCK_COLUMNS)))
         for start in range(0, a.shape[0], rows):
             r = slice(start, start + rows)
             yield r, a[r], d[r, None]
@@ -304,11 +327,12 @@ def _check_solve_inputs(n: int, m: int, config: EmbedConfig) -> None:
 
 
 def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
-    """Whether the eigen-steps of a solve, the first included, may run matrix-free."""
+    """Whether the eigen-steps of a solve at dimension k, the first included,
+    may run matrix-free."""
     n = graph.n
     # scipy's LOBPCG hands a block wider than (n - 1) / 5 to its own dense
     # solver, which rejects the deflated constant.
-    if n < _MATRIX_FREE_MIN_N or n < 5 * (k + 1):
+    if n < _MATRIX_FREE_NODES_PER_PAIR * (k + 1) or n < 5 * (k + 1):
         return False
     # Off a connected union graph the bottom eigenspace is not just the
     # constant, so deflating the constant would answer another problem.

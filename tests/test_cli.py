@@ -1,5 +1,6 @@
 """End-to-end command-line flows in temporary directories."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import json
@@ -376,7 +377,7 @@ class TestSubjectPipeline:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was made")
 
-        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("MVGEHD_THREADS", "1")
         flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
                  "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
@@ -703,13 +704,13 @@ class TestRowBlockFiles:
         # generate writes these view files, each more than 4 KiB, in blocks
         # on a pool; embed and hubs read them in their own process.
         made = []
-        pool = mvgehd.cli.ProcessPoolExecutor
+        pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             made.append(kwargs)
             return pool(*args, **kwargs)
 
-        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", counting_pool)
         monkeypatch.setattr("mvgehd.graph.BLOCK_BYTES", 4096)
         monkeypatch.setenv("MVGEHD_THREADS", "2")
         monkeypatch.chdir(tmp_path)
@@ -738,7 +739,7 @@ class TestRowBlockFiles:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr("mvgehd.cli.ProcessPoolExecutor", ResolvingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ResolvingPool)
         monkeypatch.setenv("MVGEHD_THREADS", "2")
         with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
             seen = [(result, len(submitted)) for result in mapper(pow, range(6), repeat(2))]

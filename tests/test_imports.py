@@ -1,6 +1,7 @@
 """SciPy is loaded only by the stages that call it, cohort workers
-inherit it from their parent rather than importing it after the fork, and
-the workers that format large view files import nothing.
+inherit it from their parent rather than importing it after the fork, the
+workers that format large view files import nothing, and the pool modules
+are loaded only by a command that starts workers.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported SciPy.
@@ -16,19 +17,25 @@ import pytest
 
 import mvgehd
 import mvgehd.graph
+import mvgehd.solver
 from mvgehd.cli import main
+from mvgehd.graph import load_multiview
 
 SRC = Path(mvgehd.__file__).resolve().parent.parent
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# concurrent.futures itself comes with numpy.testing, which SciPy imports;
+# its process pool is a module of its own.
+POOL_MODULES = ("sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' "
+                "or m == 'concurrent.futures.process')")
 
 # Runs `main` on the command-line arguments; prints its exit code and the
-# SciPy modules loaded by then.
+# SciPy and pool modules loaded by then.
 RUN_MAIN = f"""
 import json, sys
 from mvgehd.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({{"code": code, "scipy": {SCIPY_MODULES}}}))
+print(json.dumps({{"code": code, "scipy": {SCIPY_MODULES}, "pool": {POOL_MODULES}}}))
 """
 
 # Runs `main` with each cohort worker task wrapped to log, per task, the
@@ -127,9 +134,10 @@ def fresh(script, *args, **env):
 
 
 def run_main(*argv, **env):
+    """The SciPy and pool modules a fresh run of `main` on argv loads."""
     result = fresh(RUN_MAIN, *argv, **env)
     assert result["code"] == 0
-    return result["scipy"]
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +172,7 @@ def test_stage_loads_no_scipy(small, tmp_path, stage):
         "evaluate": ["evaluate", "--pred", small / "labels.json",
                      "--truth", small / "g" / "truth.json"],
     }[stage]
-    assert run_main(*argv, "--out", tmp_path / "out", MVGEHD_THREADS="2") == []
+    assert run_main(*argv, "--out", tmp_path / "out", MVGEHD_THREADS="2")["scipy"] == []
 
 
 @pytest.mark.parametrize("command", ["generate"])
@@ -183,29 +191,64 @@ def test_block_workers_import_nothing(tmp_path, command):
 
 def test_small_embed_loads_only_dense_scipy(small, tmp_path):
     loaded = run_main("embed", "--manifest", small / "g" / "manifest.json", "--k", 2,
-                      "--out", tmp_path / "emb")
+                      "--out", tmp_path / "emb")["scipy"]
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
+def test_hubs_spec_embed_at_n200_loads_only_dense_scipy(tmp_path):
+    # The hubs benchmark's graph and k: connected, and below the matrix-free
+    # crossover, so it solves dense.
+    g = tmp_path / "g"
+    assert main(["generate", "--out", str(g), "--n", "200", "--clusters", "4",
+                 "--hubs", "6", "--views", "2", "--seed", "1"]) == 0
+    assert not mvgehd.solver._matrix_free_applies(load_multiview(g / "manifest.json"), 3)
+    loaded = run_main("embed", "--manifest", g / "manifest.json", "--k", 3,
+                      "--out", tmp_path / "emb")["scipy"]
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+@pytest.mark.parametrize("stage", ["generate", "embed", "hubs", "hubs-betweenness",
+                                   "cluster-nodes", "evaluate"])
+def test_single_graph_commands_load_no_pool_modules(small, tmp_path, stage):
+    manifest, embedding = small / "g" / "manifest.json", small / "emb" / "embedding.csv"
+    argv = {
+        # Files of one block each, so no worker starts.
+        "generate": ["generate", "--n", 40, "--clusters", 2, "--hubs", 2, "--seed", 3],
+        "embed": ["embed", "--manifest", manifest, "--k", 2],
+        "hubs": ["hubs", "--method", "row_norm", "--embedding", embedding, "--hub-top", 2],
+        "hubs-betweenness": ["hubs", "--method", "betweenness", "--manifest", manifest,
+                             "--hub-top", 2],
+        "cluster-nodes": ["cluster-nodes", "--embedding", embedding, "--k", 2, "--seed", 0],
+        "evaluate": ["evaluate", "--pred", small / "labels.json",
+                     "--truth", small / "g" / "truth.json"],
+    }[stage]
+    assert run_main(*argv, "--out", tmp_path / "out", MVGEHD_THREADS="2")["pool"] == []
+
+
 @pytest.fixture(scope="module")
-def cohort_n200(tmp_path_factory):
-    """Subjects at n = 200, whose solves run matrix-free, so the workers'
-    tasks reach every SciPy module a cohort command uses."""
-    out = tmp_path_factory.mktemp("cohort200") / "c"
-    assert main(["generate", "--out", str(out), "--n", "200", "--clusters", "4",
+def cohort_matrix_free(tmp_path_factory):
+    """Subjects at n = 320, whose solves at k = 3 run matrix-free, so the
+    workers' tasks reach every SciPy module a cohort command uses."""
+    out = tmp_path_factory.mktemp("cohort320") / "c"
+    assert main(["generate", "--out", str(out), "--n", "320", "--clusters", "4",
                  "--hubs", "5", "--views", "2", "--seed", "11", "--cohort", "2,2",
                  "--b-clusters", "2", "--b-seed", "22"]) == 0
+    subjects = json.loads((out / "cohort.json").read_text())["subjects"]
+    assert all(mvgehd.solver._matrix_free_applies(load_multiview(out / s), 3)
+               for s in subjects)
     return out
 
 
 @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
-def test_workers_import_no_scipy_after_fork(cohort_n200, tmp_path, command):
+def test_workers_import_no_scipy_after_fork(cohort_matrix_free, tmp_path, command):
     flags = {"cluster-subjects": ["--embed-k", 3],
-             "sweep-k": ["--truth", cohort_n200 / "cohort_truth.json",
-                         "--k-min", 3, "--k-max", 3, "--repeats", 1]}[command]
+             # k = 3 solves matrix-free and k = 4 dense.
+             "sweep-k": ["--truth", cohort_matrix_free / "cohort_truth.json",
+                         "--k-min", 3, "--k-max", 4, "--repeats", 1]}[command]
     log = tmp_path / "tasks.jsonl"
-    result = fresh(WATCH_WORKERS, command, "--cohort", cohort_n200 / "cohort.json",
+    result = fresh(WATCH_WORKERS, command, "--cohort", cohort_matrix_free / "cohort.json",
                    *flags, "--max-iters", 2, "--seed", 0, "--out", tmp_path / "out.json",
                    WATCH_LOG=str(log), MVGEHD_THREADS="2")
     assert result["code"] == 0
@@ -244,5 +287,5 @@ def test_cohort_commands_load_no_scipy_optimize(cohort_n60, tmp_path, command):
     held = [result["scipy"]] + [modules for _, _, modules in tasks]
     assert all("scipy.linalg" in modules for modules in held)
     assert not [m for modules in held for m in modules if m.startswith("scipy.optimize")]
-    # Subjects below solver._MATRIX_FREE_MIN_N nodes solve dense.
+    # Subjects at n = 60 solve dense at every k here.
     assert not [m for modules in held for m in modules if m.startswith("scipy.sparse")]

@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mvgehd.solver
 from mvgehd.cli import _FILE_WORKERS, _ordered_map, _worker_count
 from mvgehd.clustering import KMeansConfig, kmeans
 from mvgehd.graph import (BLOCK_BYTES, MultiViewGraph, load_matrix_csv, load_multiview,
@@ -48,7 +49,7 @@ def peak_above_start(fn):
 @pytest.fixture(scope="module")
 def graph():
     # The embed benchmark's spec: 3 views, one pure noise; connected, so
-    # its eigen-steps run matrix-free.
+    # its eigen-steps can run matrix-free.
     spec = PlantedSpec(n=N, clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),
                        p_intra=0.5, noise_sigma=0.02, seed=0)
     return generate_multiview(spec)[0]
@@ -66,7 +67,10 @@ def test_generate_holds_the_views_plus_two():
     assert peak <= (generated.m + 2.5) * VIEW_BYTES
 
 
-def test_solve_holds_at_most_one_view_beyond_its_inputs(graph):
+def test_solve_holds_at_most_one_view_beyond_its_inputs(graph, monkeypatch):
+    # n = 400 is below the matrix-free crossover at k = 5 (480 nodes), so
+    # the crossover is dropped to run this solve matrix-free.
+    monkeypatch.setattr(mvgehd.solver, "_MATRIX_FREE_NODES_PER_PAIR", 0)
     config = EmbedConfig(k=5, max_iters=3)
     # Untraced first run: imports done on first use are not the solve's.
     solve(graph, config)
@@ -76,7 +80,7 @@ def test_solve_holds_at_most_one_view_beyond_its_inputs(graph):
 
 
 def test_dense_solve_holds_the_sum_and_one_view_buffer():
-    # Below the matrix-free size, so every eigen-step runs dense on a
+    # Below the matrix-free crossover, so every eigen-step runs dense on a
     # connected graph, where no view is copied for self-loops.
     n = 199
     spec = PlantedSpec(n=n, clusters=6, hubs=8, views=3, view_quality=(1.0, 0.6, 0.0),

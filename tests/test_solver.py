@@ -297,6 +297,30 @@ class TestViewApply:
             z = s[:, None] * (x - (a @ x) / d)
             assert op.apply(x, s).tobytes() == (z - a.T @ (z / d)).tobytes()
 
+    @pytest.mark.parametrize("columns", [30, 40])
+    def test_wide_products_match_dense_operator(self, columns):
+        # Past _APPLY_BLOCK_COLUMNS columns an n = 200 view, one block at
+        # fewer, is read in two.
+        rng = np.random.default_rng(38)
+        op = case_operator(rng, "random", 200)
+        assert len(list(op._row_blocks(mvgehd.solver._APPLY_BLOCK_COLUMNS))) == 1
+        assert len(list(op._row_blocks(columns))) == 2
+        s = rng.uniform(0.1, 2.0, size=200)
+        x = rng.normal(size=(200, columns))
+        np.testing.assert_allclose(op.apply(x, s), laplacian(op, s) @ x, rtol=0, atol=1e-12)
+        want = x - (op.affinity @ x) / op.degrees[:, None]
+        np.testing.assert_allclose(op.residual(x), want, rtol=0, atol=1e-15)
+
+    def test_block_product_stays_below_the_threading_size(self):
+        # At n = 800 a block is 81 rows up to 15 columns, as the view's bytes
+        # alone set it, and fewer beyond, so that rows x n x columns stays
+        # at most 15 x 2^16.
+        op = ViewOperator(affinity=np.ones((800, 800)), degrees=np.full(800, 800.0))
+        for columns in (1, 5, 15, 16, 30):
+            rows = next(op._row_blocks(columns))[1].shape[0]
+            assert rows * 800 * columns <= 15 * 2 ** 16
+            assert rows == (81 if columns <= 15 else 15 * 2 ** 16 // (800 * columns))
+
 
 class TestViewResidual:
     """ViewOperator.residual in row blocks, checked against F - (A F) / d."""
@@ -572,8 +596,15 @@ HUBS_SPEC = dict(clusters=4, hubs=6, views=2, view_quality=1.0, p_intra=0.9,
 def dense_solve(monkeypatch, graph, config):
     """solve with every eigen-step on the dense path."""
     with monkeypatch.context() as patch:
-        patch.setattr(mvgehd.solver, "_MATRIX_FREE_MIN_N", 10 ** 9)
+        patch.setattr(mvgehd.solver, "_MATRIX_FREE_NODES_PER_PAIR", 10 ** 9)
         return solve(graph, config)
+
+
+def force_matrix_free(monkeypatch):
+    """Drop the crossover from the matrix-free rule, leaving its n >= 5 (k + 1)
+    guard and connectivity test: graphs below the crossover, which would
+    solve dense, run matrix-free."""
+    monkeypatch.setattr(mvgehd.solver, "_MATRIX_FREE_NODES_PER_PAIR", 0)
 
 
 def count_dense_eigensolves(monkeypatch):
@@ -642,7 +673,7 @@ class TestUnionConnectivity:
         assert mvgehd.solver._union_connected(views) is want
         assert (csgraph_components(views) == 1) == want
 
-    def test_isolated_node_under_self_loop(self):
+    def test_isolated_node_under_self_loop(self, monkeypatch):
         # The operator gives node 7 a self-loop, which joins it to nothing.
         views = []
         for v in planted_graph(200, 0).views:
@@ -654,6 +685,7 @@ class TestUnionConnectivity:
         assert op.affinity[7, 7] == 1.0
         assert csgraph_components(g.views) == 2
         assert not mvgehd.solver._union_connected(g.views)
+        force_matrix_free(monkeypatch)
         assert not mvgehd.solver._matrix_free_applies(g, 3)
 
     def test_random_unions_match_oracle(self):
@@ -679,10 +711,45 @@ class TestUnionConnectivity:
         assert np.mean(np.greater(components, 2)) > 0.2
 
 
+def complete_graph(n):
+    return MultiViewGraph(views=(np.ones((n, n)) - np.eye(n),))
+
+
+class TestBackendRule:
+    """Which connected graphs solve matrix-free, by n and k: from
+    n = _MATRIX_FREE_NODES_PER_PAIR (k + 1), and never below LOBPCG's
+    n = 5 (k + 1)."""
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 10, 15])
+    def test_n200_solves_dense(self, k):
+        assert not mvgehd.solver._matrix_free_applies(complete_graph(200), k)
+
+    def test_embed_benchmark_size_solves_matrix_free(self):
+        assert mvgehd.solver._matrix_free_applies(complete_graph(800), 5)
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 10, 15])
+    def test_crossover(self, k):
+        n = mvgehd.solver._MATRIX_FREE_NODES_PER_PAIR * (k + 1)
+        assert mvgehd.solver._matrix_free_applies(complete_graph(n), k)
+        assert not mvgehd.solver._matrix_free_applies(complete_graph(n - 1), k)
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_lobpcg_block_guard_holds_without_the_crossover(self, monkeypatch, k):
+        force_matrix_free(monkeypatch)
+        n = 5 * (k + 1)
+        assert mvgehd.solver._matrix_free_applies(complete_graph(n), k)
+        assert not mvgehd.solver._matrix_free_applies(complete_graph(n - 1), k)
+
+
 class TestMatrixFreeEigenStep:
     """Every eigen-step, the unit-weight first one included, runs
-    Jacobi-preconditioned LOBPCG on connected graphs with n >= 200; the dense
-    path is their oracle."""
+    Jacobi-preconditioned LOBPCG on connected graphs inside the rule; the
+    dense path is their oracle. The graphs here, at n = 200..400, are below
+    the crossover, so the tests force the matrix-free path."""
+
+    @pytest.fixture(autouse=True)
+    def matrix_free(self, monkeypatch):
+        force_matrix_free(monkeypatch)
 
     @pytest.mark.parametrize("n, k, spec", [
         (200, 5, BENCH_SPEC), (300, 5, BENCH_SPEC), (400, 5, BENCH_SPEC),
