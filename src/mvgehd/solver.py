@@ -71,8 +71,8 @@ the graph:
     of W_v^T Z are formed while the block is still in cache (see
     ViewOperator.apply). Step 1's residuals are formed in the same row
     blocks, which keeps their products, like the applies', on the calling
-    thread rather than BLAS's helper thread (see _APPLY_BLOCK_BYTES and
-    _APPLY_BLOCK_COLUMNS). It is preconditioned by Jacobi, X -> X / diag(B)
+    thread rather than BLAS's helper thread at small k (see
+    _APPLY_BLOCK_BYTES). It is preconditioned by Jacobi, X -> X / diag(B)
     for the summed operator B, with diag(B) summed over the views from
     their affinities and degrees in O(m n^2).
     The first step starts from a fixed seeded Gaussian block, so repeat
@@ -135,14 +135,6 @@ _MATRIX_FREE_MAX_ITERS = 60
 # second thread, which on a shared 2-vCPU host was seen to stall it for
 # 4-8 ms against 0.45 ms, and whose first use adds about 2.6 MB of RSS.
 _APPLY_BLOCK_BYTES = 2 ** 19
-# Products with more columns than this take blocks of proportionally fewer
-# rows, so a block's product, rows x n x columns, stays at most 15 x 2^16
-# multiply-adds. OpenBLAS 0.3.31 on 2 threads ran products of up to 983040
-# multiply-adds (an 81-row block of an n = 800 view times 15 columns, or a
-# 163-row one of n = 400) on the calling thread alone, and split every one
-# from 1024000 (16 columns) onto its second thread, where one took 533 us
-# against 63 us at 15 columns.
-_APPLY_BLOCK_COLUMNS = 15
 
 
 @dataclass(frozen=True)
@@ -216,7 +208,7 @@ class ViewOperator:
             raise ValueError(
                 f"embedding has {f.shape[0]} rows for a {self.affinity.shape[0]}-node view")
         out = np.empty(f.shape)
-        for r, a_r, d_r in self._row_blocks(f.shape[1]):
+        for r, a_r, d_r in self._row_blocks():
             out[r] = f[r] - (a_r @ f) / d_r
         return out
 
@@ -244,7 +236,7 @@ class ViewOperator:
         """
         z = np.empty(block.shape)
         back = None
-        for r, a_r, d_r in self._row_blocks(block.shape[1]):
+        for r, a_r, d_r in self._row_blocks():
             z[r] = row_scale[r, None] * (block[r] - (a_r @ block) / d_r)
             part = a_r.T @ (z[r] / d_r)
             # The first block's product is taken as it is, not added to
@@ -255,14 +247,11 @@ class ViewOperator:
                 back += part
         return z - back
 
-    def _row_blocks(self, columns: int):
-        """The view's rows in blocks of about _APPLY_BLOCK_BYTES, or of
-        proportionally fewer rows for a product with more than
-        _APPLY_BLOCK_COLUMNS `columns`: for each block R, the slice R, A_R
-        and d_R as a column."""
+    def _row_blocks(self):
+        """The view's rows in blocks of about _APPLY_BLOCK_BYTES: for each
+        block R, the slice R, A_R and d_R as a column."""
         a, d = self.affinity, self.degrees
-        rows = max(1, _APPLY_BLOCK_BYTES * _APPLY_BLOCK_COLUMNS
-                   // (a.itemsize * a.shape[0] * max(columns, _APPLY_BLOCK_COLUMNS)))
+        rows = max(1, _APPLY_BLOCK_BYTES // (a.itemsize * a.shape[0]))
         for start in range(0, a.shape[0], rows):
             r = slice(start, start + rows)
             yield r, a[r], d[r, None]

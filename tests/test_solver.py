@@ -297,30 +297,6 @@ class TestViewApply:
             z = s[:, None] * (x - (a @ x) / d)
             assert op.apply(x, s).tobytes() == (z - a.T @ (z / d)).tobytes()
 
-    @pytest.mark.parametrize("columns", [30, 40])
-    def test_wide_products_match_dense_operator(self, columns):
-        # Past _APPLY_BLOCK_COLUMNS columns an n = 200 view, one block at
-        # fewer, is read in two.
-        rng = np.random.default_rng(38)
-        op = case_operator(rng, "random", 200)
-        assert len(list(op._row_blocks(mvgehd.solver._APPLY_BLOCK_COLUMNS))) == 1
-        assert len(list(op._row_blocks(columns))) == 2
-        s = rng.uniform(0.1, 2.0, size=200)
-        x = rng.normal(size=(200, columns))
-        np.testing.assert_allclose(op.apply(x, s), laplacian(op, s) @ x, rtol=0, atol=1e-12)
-        want = x - (op.affinity @ x) / op.degrees[:, None]
-        np.testing.assert_allclose(op.residual(x), want, rtol=0, atol=1e-15)
-
-    def test_block_product_stays_below_the_threading_size(self):
-        # At n = 800 a block is 81 rows up to 15 columns, as the view's bytes
-        # alone set it, and fewer beyond, so that rows x n x columns stays
-        # at most 15 x 2^16.
-        op = ViewOperator(affinity=np.ones((800, 800)), degrees=np.full(800, 800.0))
-        for columns in (1, 5, 15, 16, 30):
-            rows = next(op._row_blocks(columns))[1].shape[0]
-            assert rows * 800 * columns <= 15 * 2 ** 16
-            assert rows == (81 if columns <= 15 else 15 * 2 ** 16 // (800 * columns))
-
 
 class TestViewResidual:
     """ViewOperator.residual in row blocks, checked against F - (A F) / d."""
