@@ -366,7 +366,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> None:
             f"need 1 <= --k-min <= --k-max, got --k-min {args.k_min} --k-max {args.k_max}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    KMeansConfig(restarts=args.restarts)  # checks --restarts
+    KMeansConfig(restarts=args.restarts, seed=args.seed)  # checks --restarts, --seed
     ks = range(args.k_min, args.k_max + 1)
     configs = [_embed_config(args, k=k) for k in ks]
     workers = _worker_count()

@@ -38,6 +38,9 @@ class KMeansConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed is not None and not (isinstance(self.seed, (int, np.integer))
+                                          and self.seed >= 0):
+            raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -1,20 +1,18 @@
 """Dense symmetric eigen-solves for the embedding solver and the subject
 spectral step (mvgehd.clustering).
 
-The eigen-solves here call LAPACK's dense symmetric driver dsyevr, by way
-of scipy.linalg.lapack, which the first solve imports (importing this
-module does not). They serve every eigen-step of the graphs the solver's
-matrix-free rule leaves out (below n = 80 (k + 1) nodes for k embedding
-columns, or with a disconnected union graph), and redo any matrix-free
-step that misses its residual check; the solver runs the steps of other
-graphs matrix-free, by LOBPCG, and checks those against this dense path
-(see mvgehd.solver). dsyevr, like scipy.linalg.eigh, reads only the lower
-triangle of a symmetric matrix.
+Each solve is one call to scipy.linalg.eigh with LAPACK's dsyevr driver for
+an index subset; scipy.linalg is imported by the first solve, not by
+importing this module. The solves serve every eigen-step of the graphs the
+solver's matrix-free rule leaves out (below n = 80 (k + 1) nodes for k
+embedding columns, or with a disconnected union graph), and redo any
+matrix-free step that misses its residual check; the solver runs the steps
+of other graphs matrix-free, by LOBPCG, and checks those against this dense
+path (see mvgehd.solver). Only the lower triangle of a matrix is read.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +46,11 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
     """Algebraically smallest `count` eigenpairs of the symmetric matrix
     whose lower triangle `matrix` holds; its strict upper triangle is not read.
 
-    The solve calls LAPACK's dsyevr directly, the driver scipy.linalg.eigh
-    picks for an index subset, with its workspace sizes cached per order,
-    so each call skips eigh's driver lookup and workspace query. dsyevr
-    works in place: a Fortran-ordered float64 `matrix` is overwritten; any
-    other is copied. A LAPACK failure raises numpy.linalg.LinAlgError.
+    The solve works in place: a Fortran-ordered float64 `matrix` is
+    overwritten; any other is copied. A LAPACK failure raises
+    numpy.linalg.LinAlgError.
     """
-    from scipy.linalg.lapack import dsyevr
+    from scipy.linalg import eigh
 
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -64,23 +60,6 @@ def smallest_eigenpairs(matrix: np.ndarray, count: int) -> SymEigenResult:
         raise ValueError("matrix contains non-finite entries")
     if not 1 <= count <= n:
         raise ValueError(f"count must be in 1..{n}, got {count}")
-    lwork, liwork = _syevr_workspace(n)
-    eigenvalues, eigenvectors, found, _, info = dsyevr(
-        m, range="I", il=1, iu=count, lower=1, lwork=lwork, liwork=liwork, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info = {info}")
-    return SymEigenResult(
-        eigenvalues=eigenvalues[:found],
-        eigenvectors=_fix_column_signs(eigenvectors[:, :found]),
-    )
-
-
-@functools.lru_cache(maxsize=32)
-def _syevr_workspace(n: int) -> tuple[int, int]:
-    """dsyevr's optimal (lwork, liwork) for order n, lower triangle."""
-    from scipy.linalg.lapack import dsyevr_lwork
-
-    work, iwork, info = dsyevr_lwork(n, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr_lwork failed with info = {info}")
-    return int(work), int(iwork)
+    eigenvalues, eigenvectors = eigh(m, lower=True, subset_by_index=(0, count - 1),
+                                     driver="evr", overwrite_a=True, check_finite=False)
+    return SymEigenResult(eigenvalues, _fix_column_signs(eigenvectors))

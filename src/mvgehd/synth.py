@@ -56,6 +56,8 @@ class PlantedSpec:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.hub_spread <= 1.0:
             raise ValueError(f"hub_spread must be in [0, 1], got {self.hub_spread}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         q = self.view_quality
         quality = tuple(float(x) for x in (q if np.iterable(q) else [q] * self.views))
         if len(quality) != self.views:

@@ -110,6 +110,16 @@ class TestGenerate:
                        f"--cohort must be NA,NB (two integers), got {cohort!r}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", -1],
+                                       ["--cohort", "2,2", "--b-seed", -1]])
+    def test_negative_seed_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "c"
+        assert run("generate", "--out", out, "--n", 20, "--clusters", 2, *flags) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "seed must be an integer >= 0, got -1"}
+        assert not out.exists()
+
 
 class TestEmbed:
     def test_writes_three_artifacts(self, generated, tmp_path):
@@ -546,6 +556,27 @@ class TestSubjectPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_negative_seed_rejected_before_any_embedding(self, cohort_dir, tmp_path, capsys,
+                                                         monkeypatch, command):
+        # One worker, so every embedding task runs in this process.
+        monkeypatch.setenv("MVGEHD_THREADS", "1")
+        calls = []
+        embed = mvgehd.cli._embed_subject
+        monkeypatch.setattr("mvgehd.cli._embed_subject",
+                            lambda graph, configs: calls.append(1) or embed(graph, configs))
+        flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
+                             "--k-min", 3, "--k-max", 4, "--repeats", 2]}[command]
+        out = tmp_path / "out.json"
+        code = run(command, "--cohort", cohort_dir / "cohort.json", *flags,
+                   "--seed", -1, "--out", out)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "seed must be None or an integer >= 0, got -1"}
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
     def test_one_subject_cohort_rejected_before_loading(self, cohort_dir, tmp_path, capsys,

@@ -141,6 +141,15 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be None or an integer >= 0, got {seed!r}"):
+            KMeansConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2 ** 70])
+    def test_config_takes_none_and_non_negative_integers(self, seed):
+        assert KMeansConfig(seed=seed).seed == seed
+
     def test_rejects_k_above_distinct_points(self, monkeypatch):
         # Eight points at two locations: with k = 4, Lloyd would re-seed an
         # empty cluster on every iteration of every restart, up to its cap.

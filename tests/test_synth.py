@@ -34,6 +34,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PlantedSpec(n=10, clusters=1, hubs=1, views=1)
 
+    @pytest.mark.parametrize("seed", [-1, None, 2.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            PlantedSpec(n=10, clusters=2, hubs=0, views=1, seed=seed)
+
 
 class TestGenerateMultiview:
     def test_shape_contract(self):
