@@ -10,6 +10,11 @@ One subcommand per pipeline stage, composed through files:
   evaluate          ACC / NMI of predicted labels against truth labels
   sweep-k           embed a cohort over a grid of k and report mean +/- std
 
+generate --cohort NA,NB draws NA subjects of group A from the generator
+flags and NB of group B from the same spec, except that --b-clusters and
+--b-seed, when given, set group B's module count and seed; both need
+--cohort.
+
 Structured outputs are JSON; matrices are headerless CSV. Every JSON result
 embeds the invoking configuration and the library version, so identical
 configs and seeds reproduce results bit for bit. Failures print a
@@ -42,7 +47,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -221,30 +226,27 @@ def _load_cohort(manifests: list, ks, flag: str) -> list:
     return graphs
 
 
-def _spec_from_args(args: argparse.Namespace, side: str = "") -> PlantedSpec:
-    def pick(name):
-        if side:
-            override = getattr(args, f"b_{name}")
-            if override is not None:
-                return override
-        return getattr(args, name)
-
+def _spec_from_args(args: argparse.Namespace) -> PlantedSpec:
     return PlantedSpec(
         n=args.n,
-        clusters=pick("clusters"),
-        hubs=pick("hubs"),
+        clusters=args.clusters,
+        hubs=args.hubs,
         views=args.views,
-        p_intra=pick("p_intra"),
-        p_inter=pick("p_inter"),
-        noise_sigma=pick("noise"),
-        view_quality=_parse_quality(pick("view_quality")),
-        hub_spread=pick("hub_spread"),
-        seed=pick("seed"),
+        p_intra=args.p_intra,
+        p_inter=args.p_inter,
+        noise_sigma=args.noise,
+        view_quality=_parse_quality(args.view_quality),
+        hub_spread=args.hub_spread,
+        seed=args.seed,
     )
 
 
 def cmd_generate(args: argparse.Namespace) -> None:
     out = Path(args.out)
+    b_fields = {name: value for name, value in (("clusters", args.b_clusters),
+                                                ("seed", args.b_seed)) if value is not None}
+    if b_fields and args.cohort is None:
+        raise ValueError("--b-clusters and --b-seed set cohort group B and need --cohort")
     spec_a = _spec_from_args(args)
     with _ordered_map(min(_worker_count(), _FILE_WORKERS)) as mapper:
         if args.cohort is None:
@@ -257,7 +259,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
         except ValueError:
             raise ValueError(
                 f"--cohort must be NA,NB (two integers), got {args.cohort!r}") from None
-        spec_b = _spec_from_args(args, side="b")
+        spec_b = replace(spec_a, **b_fields)
         subjects, labels = generate_cohort(spec_a, spec_b, count_a, count_b)
         manifest_paths = []
         for i, graph in enumerate(subjects):
@@ -310,12 +312,14 @@ def cmd_cluster_nodes(args: argparse.Namespace) -> None:
 def _cohort_manifests(cohort_path) -> list:
     cohort_path = Path(cohort_path)
     obj = json.loads(cohort_path.read_text())
-    if "subjects" not in obj:
-        raise ValueError(f"{cohort_path} has no 'subjects' field")
+    subjects = obj.get("subjects") if isinstance(obj, dict) else None
+    if not (isinstance(subjects, list) and all(isinstance(p, str) for p in subjects)):
+        raise ValueError(f"{cohort_path} must be an object whose 'subjects' lists "
+                         "manifest paths")
     # A cohort of one subject has nothing to cluster.
-    if len(obj["subjects"]) < 2:
-        raise ValueError(f"need at least 2 subjects, got {len(obj['subjects'])}")
-    return [cohort_path.parent / p for p in obj["subjects"]]
+    if len(subjects) < 2:
+        raise ValueError(f"need at least 2 subjects, got {len(subjects)}")
+    return [cohort_path.parent / p for p in subjects]
 
 
 def cmd_cluster_subjects(args: argparse.Namespace) -> None:
@@ -426,11 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hub-spread", type=float, default=PlantedSpec.hub_spread)
     p.add_argument("--cohort", type=str, default=None, metavar="NA,NB",
                    help="generate NA+NB subjects instead of a single graph")
-    for name, typ in (("clusters", int), ("hubs", int), ("seed", int),
-                      ("p-intra", float), ("p-inter", float), ("noise", float),
-                      ("hub-spread", float), ("view-quality", str)):
-        p.add_argument(f"--b-{name}", type=typ, default=None,
-                       help=f"cohort B override for --{name}")
+    p.add_argument("--b-clusters", type=int, default=None,
+                   help="cohort group B's --clusters (default: group A's)")
+    p.add_argument("--b-seed", type=int, default=None,
+                   help="cohort group B's --seed (default: group A's)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("embed", help="fit the multi-view embedding of one graph")

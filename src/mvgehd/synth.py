@@ -109,24 +109,19 @@ def _base_means(spec: PlantedSpec, truth: PlantedTruth, quality: float) -> np.nd
     same = truth.labels[:, None] == truth.labels[None, :]
     base = np.full((n, n), spec.p_inter)
     base[same] += contrast
-    # Hub rows/columns: full intra strength to the own module, hub_spread of
-    # the contrast into the spanned foreign modules, baseline elsewhere.
-    hub_rows = {}
-    for h, span in zip(truth.hub_set, hub_spans(spec, truth)):
-        row = np.full(n, spec.p_inter)
-        row[truth.labels == truth.labels[h]] += contrast
+    # Hub rows/columns: full intra strength to the own module (as for any
+    # node), plus hub_spread of the contrast into the spanned foreign modules.
+    hub_set = truth.hub_set
+    rows = base[hub_set]
+    for row, span in zip(rows, hub_spans(spec, truth)):
         for c in span:
             row[truth.labels == c] += contrast * spec.hub_spread
-        hub_rows[int(h)] = row
-    for h, row in hub_rows.items():
-        base[h, :] = row
-        base[:, h] = row
     # A hub pair has two perspectives (each row assigns the other a
     # strength); keep the stronger tie, symmetrically.
-    for h, row in hub_rows.items():
-        for g, other in hub_rows.items():
-            val = max(row[g], other[h])
-            base[h, g] = base[g, h] = val
+    ties = rows[:, hub_set]
+    rows[:, hub_set] = np.maximum(ties, ties.T)
+    base[hub_set, :] = rows
+    base[:, hub_set] = rows.T
     return base
 
 

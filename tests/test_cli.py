@@ -120,6 +120,34 @@ class TestGenerate:
                        "message": "seed must be an integer >= 0, got -1"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--b-clusters", 2], ["--b-seed", 4],
+                                       ["--b-clusters", 2, "--b-seed", 4]])
+    def test_group_b_flags_need_a_cohort(self, tmp_path, capsys, flags):
+        out = tmp_path / "g"
+        assert run("generate", "--out", out, "--n", 30, "--clusters", 3, *flags) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        for flag in ("--b-clusters", "--b-seed", "--cohort"):
+            assert flag in err["message"]
+        assert not out.exists()
+
+    def test_group_b_is_group_a_with_its_flags(self, tmp_path, monkeypatch):
+        specs = []
+        generate_cohort = mvgehd.cli.generate_cohort
+
+        def spy(spec_a, spec_b, *counts):
+            specs.extend([spec_a, spec_b])
+            return generate_cohort(spec_a, spec_b, *counts)
+
+        monkeypatch.setattr("mvgehd.cli.generate_cohort", spy)
+        assert run("generate", "--out", tmp_path / "c", "--n", 30, "--clusters", 3,
+                   "--hubs", 2, "--views", 3, "--p-intra", 0.7, "--noise", 0.05,
+                   "--view-quality", "1,0.5,0", "--hub-spread", 0.4, "--seed", 6,
+                   "--cohort", "1,1", "--b-clusters", 2) == 0
+        spec_a, spec_b = specs
+        assert spec_b == dataclasses.replace(spec_a, clusters=2)
+        assert spec_a.view_quality == (1.0, 0.5, 0.0) and spec_a.seed == 6
+
 
 class TestEmbed:
     def test_writes_three_artifacts(self, generated, tmp_path):
@@ -597,6 +625,26 @@ class TestSubjectPipeline:
         assert code != 0
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": "need at least 2 subjects, got 1"}
+        assert not out.exists()
+
+    # A file that names subjects, but not as a list of manifest paths.
+    @pytest.mark.parametrize("contents", [{"subjects": "ab"}, {"subjects": [1, 2]},
+                                          "subjects/manifest.json"])
+    @pytest.mark.parametrize("command", ["cluster-subjects", "sweep-k"])
+    def test_subjects_must_list_manifest_paths(self, cohort_dir, tmp_path, capsys,
+                                               monkeypatch, command, contents):
+        def fail(path):
+            raise AssertionError("a subject was loaded before the cohort file was checked")
+
+        monkeypatch.setattr("mvgehd.cli.load_multiview", fail)
+        cohort = tmp_path / "cohort.json"
+        cohort.write_text(json.dumps(contents))
+        flags = {"cluster-subjects": ["--embed-k", 3, "--k", 2],
+                 "sweep-k": ["--truth", cohort_dir / "cohort_truth.json"]}[command]
+        out = tmp_path / "out.json"
+        assert run(command, "--cohort", cohort, *flags, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "'subjects'" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["abc", "0"])

@@ -24,18 +24,22 @@ backend times a margin: 1e-11 for FF^T (32 times 3.1e-13), 1e-13 for alpha
 (16 times 6.1e-15) and 1e-10 for the hub scores (61 times 1.6e-12). The
 scores get the widest bound because a row norm near zero, a hub's,
 amplifies the error of FF^T's diagonal.
+
+Listing a cohort's subjects in another order must permute the subject
+labels, up to renaming, and numbering the true classes differently must
+leave the scores of a labelling unchanged, bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import mvgehd.solver
-from mvgehd.clustering import KMeansConfig, node_clusters
+from mvgehd.clustering import KMeansConfig, cluster_subjects, node_clusters
 from mvgehd.graph import MultiViewGraph
 from mvgehd.hubs import hub_scores, select_hubs
 from mvgehd.metrics import evaluate
 from mvgehd.solver import EmbedConfig, solve
-from mvgehd.synth import PlantedSpec, generate_multiview
+from mvgehd.synth import PlantedSpec, generate_cohort, generate_multiview
 from test_solver import count_dense_eigensolves, force_matrix_free
 
 CLUSTERS = 3
@@ -103,3 +107,37 @@ def test_view_reversal(backend, seed):
     assert np.max(np.abs(np.asarray(reversed_alphas)[::-1] - np.asarray(alphas))) <= ALPHA_TOL
     assert np.max(np.abs(gram(g) - gram(f))) <= GRAM_TOL
     assert dense_calls in (None, [])
+
+
+def test_subject_permutation():
+    # A well-separated cohort: 8 four-module and 8 two-module subjects,
+    # which the clustering splits exactly. Subjects near the boundary of two
+    # groups could be assigned by the k-means start, which does depend on
+    # the subject order.
+    spec_a = PlantedSpec(n=50, clusters=4, hubs=5, views=2, seed=11)
+    spec_b = PlantedSpec(n=50, clusters=2, hubs=5, views=2, seed=22)
+    subjects, truth = generate_cohort(spec_a, spec_b, 8, 8)
+    embeddings = [solve(graph, EmbedConfig(k=4))[0] for graph in subjects]
+    labels = cluster_subjects(embeddings, 2, KMeansConfig(seed=0))
+    assert evaluate(labels, truth).acc == 1.0
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        perm = rng.permutation(len(subjects))
+        permuted = cluster_subjects([embeddings[i] for i in perm], 2, KMeansConfig(seed=0))
+        assert evaluate(permuted[np.argsort(perm)], labels).acc == 1.0
+
+
+def test_truth_relabelling():
+    rng = np.random.default_rng(3)
+    truth = rng.integers(0, 4, 60)
+    # About a quarter of the predictions are wrong, and one predicted class
+    # has no true counterpart, so the score is neither trivial nor perfect.
+    pred = np.where(rng.random(60) < 0.25, rng.integers(0, 5, 60), truth)
+    result = evaluate(pred, truth)
+    assert 0.0 < result.nmi < 1.0 and result.acc < 1.0
+    for _ in range(20):
+        # A bijection of the truth's classes onto distinct labels in 0..9.
+        relabel = rng.choice(10, size=4, replace=False)
+        relabelled = evaluate(pred, relabel[truth])
+        assert relabelled.acc == result.acc
+        assert relabelled.nmi == result.nmi

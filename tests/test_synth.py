@@ -107,6 +107,36 @@ class TestGenerateMultiview:
         inter = graph.views[0][~same].mean()
         assert abs(intra - inter) < 0.01
 
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_noise_free_means(self, view):
+        # Modules 0-3 hold nodes 0-2, 3-5, 6-8 and 9-11. Hubs 12-15 sit in
+        # modules 0-3 and span {1, 2}, {2, 3}, {3, 0} and {0, 1}.
+        p_intra, p_inter, spread = 0.9, 0.1, 0.5
+        quality = (1.0, 0.5)[view]
+        spec = PlantedSpec(n=16, clusters=4, hubs=4, views=2, p_intra=p_intra,
+                           p_inter=p_inter, noise_sigma=0.0, view_quality=(1.0, 0.5),
+                           hub_spread=spread, seed=3)
+        graph, truth = generate_multiview(spec)
+        assert [sorted(span) for span in hub_spans(spec, truth)] == [[1, 2], [2, 3],
+                                                                     [0, 3], [0, 1]]
+        w = graph.views[view]
+        contrast = quality * (p_intra - p_inter)
+        strong, spanned = p_inter + contrast, p_inter + contrast * spread
+        expected = {
+            (0, 1): strong,     # inside module 0
+            (0, 3): p_inter,    # modules 0 and 1
+            (12, 0): strong,    # hub 12 and its own module
+            (12, 3): spanned,   # hub 12 and module 1, which it spans
+            (12, 9): p_inter,   # hub 12 and module 3, which it does not span
+            # Hub 12 spans hub 13's module but not the reverse; hub 15
+            # spans hub 12's module but not the reverse. The stronger tie wins.
+            (12, 13): spanned,
+            (12, 15): spanned,
+        }
+        for (i, j), value in expected.items():
+            assert w[i, j] == w[j, i] == value, (i, j)
+        assert not np.diag(w).any()
+
 
 class TestLayout:
     def test_layout_is_seed_independent(self):
