@@ -883,3 +883,26 @@ class TestDefaults:
         assert spec == PlantedSpec(n=10, clusters=2, hubs=0, views=2)
         for command in EMBEDDING_COMMANDS:
             assert _embed_config(parse_defaults(command), k=3) == EmbedConfig(k=3)
+
+
+class TestParser:
+    def test_commands_after_the_first_leave_no_argparse_garbage(self, tmp_path):
+        """main builds its parser once per process, so a command leaves none
+        of the cyclic objects argparse makes per argument it adds for the
+        collector to free at a time no one chose."""
+        import argparse
+        import gc
+
+        def formatters():
+            return sum(isinstance(o, argparse.HelpFormatter) for o in gc.get_objects())
+
+        assert run("generate", "--out", tmp_path / "a", "--n", 10, "--clusters", 2) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            before = formatters()
+            assert run("generate", "--out", tmp_path / "b", "--n", 10, "--clusters", 2) == 0
+            after = formatters()
+        finally:
+            gc.enable()
+        assert after == before
