@@ -45,8 +45,9 @@ before = graph.views[0][truth.hub_set].sum()
 after = stripped.views[0][truth.hub_set].sum()
 print(f"\nhub-row affinity mass in view 0: {before:.1f} -> {after:.1f}")
 
-# The stripped graph leaves the hubs isolated; re-embed the remaining
-# subgraph and check the modules are still clean without the hubs.
+# The stripped hubs have zero degree in every view, which solve rejects;
+# re-embed the subgraph of the other nodes and check the modules are still
+# clean without the hubs.
 keep = np.setdiff1d(np.arange(graph.n), row_report.selected)
 subgraph = mv.MultiViewGraph(views=tuple(v[np.ix_(keep, keep)] for v in stripped.views))
 embedding2, _, _ = mv.solve(subgraph, mv.EmbedConfig(k=3))

@@ -56,8 +56,8 @@ import numpy as np
 
 from . import __version__
 from .clustering import KMeansConfig, cluster_subjects, kmeans, node_clusters, spectral_rows
-from .graph import (ISOLATED_POLICIES, load_matrix_csv, load_multiview, load_view,
-                    read_manifest, save_matrix_csv, save_multiview)
+from .graph import (load_matrix_csv, load_multiview, load_view, read_manifest,
+                    save_matrix_csv, save_multiview)
 from .hubs import HUB_METHODS, betweenness, check_selection, hub_report, hub_scores
 from .metrics import as_labels, evaluate
 from .solver import EmbedConfig, _matrix_free_applies, solve
@@ -124,7 +124,6 @@ def _embed_config(args: argparse.Namespace, k: int | None = None) -> EmbedConfig
         max_iters=args.max_iters,
         rel_tol=args.tol,
         weights=_parse_weights(args.weights),
-        isolated_policy=args.isolated_policy,
     )
 
 
@@ -219,9 +218,10 @@ def _load_cohort(manifests: list, ks, flag: str) -> list:
     # Imported before the first task forks the workers, which inherit them;
     # otherwise each worker imports them on its first task, about 0.5 s of
     # CPU each. Only matrix-free solves reach `scipy.sparse.linalg`, about
-    # 3.5 MB of the cohort benchmark's peak RSS.
+    # 3.5 MB of the cohort benchmark's peak RSS. The rule reads only n, which
+    # every subject shares.
     import scipy.linalg  # noqa: F401
-    if any(_matrix_free_applies(graph, k) for graph in graphs for k in ks):
+    if any(_matrix_free_applies(graphs[0], k) for k in ks):
         import scipy.sparse.linalg  # noqa: F401
     return graphs
 
@@ -400,9 +400,6 @@ def _add_embed_flags(p: argparse.ArgumentParser) -> None:
                    help="iteration cap (default %(default)s)")
     p.add_argument("--tol", type=float, default=EmbedConfig.rel_tol,
                    help="relative objective-change stopping threshold (default %(default)s)")
-    p.add_argument("--isolated-policy", choices=ISOLATED_POLICIES,
-                   default=EmbedConfig.isolated_policy,
-                   help="zero-degree node handling (default %(default)s)")
     p.add_argument("--weights", type=str, default=None,
                    help="comma list of fixed view weights (disables auto-weighting)")
 

@@ -36,8 +36,8 @@ class KMeansConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if not (isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1):
+            raise ValueError(f"restarts must be an integer >= 1, got {self.restarts!r}")
         if self.seed is not None and not (isinstance(self.seed, (int, np.integer))
                                           and self.seed >= 0):
             raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")

@@ -52,15 +52,13 @@ _SYMMETRY_BLOCK_ROWS = 64
 
 TRANSFORMS = ("reject", "abs", "clamp0")
 
-ISOLATED_POLICIES = ("error", "self_loop")
-
 
 class GraphValidationError(ValueError):
     """An affinity matrix, manifest, or view set violates its contract."""
 
 
 class IsolatedNodeError(ValueError):
-    """A zero-degree node was encountered under the `error` policy."""
+    """A node has zero degree in every view, so no view places it."""
 
     def __init__(self, index: int):
         self.index = int(index)
@@ -192,25 +190,19 @@ class MultiViewGraph:
         return len(self.views)
 
 
-def affinity_and_degrees(view: np.ndarray,
-                         isolated_policy: str = "error") -> tuple[np.ndarray, np.ndarray]:
+def affinity_and_degrees(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The affinity A and the degrees d (row sums) of the walk W = A / d.
 
     W, row i of A divided by d_i, is each node's neighbor distribution.
-    Zero-degree nodes make it undefined; `error` raises IsolatedNodeError
-    naming the first such node, while `self_loop` gives each isolated node
-    a unit self-loop (its row of W becomes a point mass on itself) in a
-    copy of the view. Otherwise A is the view itself, not a copy.
+    Zero-degree nodes make it undefined, so each gets a unit self-loop (its
+    row of W becomes a point mass on itself) in a copy of the view, and the
+    view then says nothing about where it goes. Otherwise A is the view
+    itself, not a copy.
     """
-    if isolated_policy not in ISOLATED_POLICIES:
-        raise ValueError(
-            f"unknown isolated_policy {isolated_policy!r}; expected one of {ISOLATED_POLICIES}")
     a = np.asarray(view, dtype=np.float64)
     d = a.sum(axis=1)
     isolated = np.flatnonzero(d == 0)
     if isolated.size:
-        if isolated_policy == "error":
-            raise IsolatedNodeError(isolated[0])
         a = a.copy()
         a[isolated, isolated] = 1.0
         d = a.sum(axis=1)

@@ -170,7 +170,12 @@ def betweenness(view: np.ndarray) -> np.ndarray:
 
 
 def remove_hub_edges(graph: MultiViewGraph, hubs) -> MultiViewGraph:
-    """Zero out the rows and columns of the hub nodes in every view."""
+    """Zero out the rows and columns of the hub nodes in every view.
+
+    The hubs then have zero degree in every view, so `solve` rejects the
+    stripped graph with IsolatedNodeError until they are dropped from it,
+    as demos/02_hub_detection.py does.
+    """
     idx = np.asarray(list(hubs), dtype=np.int64)
     n = graph.n
     if idx.size and (idx.min() < 0 or idx.max() >= n):

@@ -5,10 +5,10 @@ Each solve is one call to scipy.linalg.eigh with LAPACK's dsyevr driver for
 an index subset; scipy.linalg is imported by the first solve, not by
 importing this module. The solves serve every eigen-step of the graphs the
 solver's matrix-free rule leaves out (below n = 80 (k + 1) nodes for k
-embedding columns, or with a disconnected union graph), and redo any
-matrix-free step that misses its residual check; the solver runs the steps
-of other graphs matrix-free, by LOBPCG, and checks those against this dense
-path (see mvgehd.solver). Only the lower triangle of a matrix is read.
+embedding columns), and redo any matrix-free step that misses its residual
+check; the solver runs the steps of other graphs matrix-free, by LOBPCG,
+and checks those against this dense path (see mvgehd.solver). Only the
+lower triangle of a matrix is read.
 """
 
 from __future__ import annotations

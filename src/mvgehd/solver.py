@@ -25,13 +25,22 @@ One solver iteration, from the current embedding F:
   3. in auto mode, set each view weight to 1 / (2 sqrt(h_v(F))), the slope
      of sqrt at h_v (auto_view_weights), so views the current embedding
      fits well get large weights;
-  4. refresh F as the eigenvectors of the 2nd through (k+1)-th smallest
-     eigenvalues of the weighted sum of the per-view operators. M
-     annihilates vectors that are constant on each connected component of
-     the union graph (see below). If that graph is connected, the skipped
-     bottom eigenvector is the uninformative constant direction; if not,
-     only one component indicator is skipped and the others take
-     embedding columns.
+  4. refresh F as the eigenvectors of the k smallest eigenvalues of the
+     weighted sum B of the per-view operators, among those orthogonal to
+     the constant vector. Every walk has W 1 = 1, so M 1 = 0 and B 1 = 0
+     on every graph: the constant is the one direction that no operator
+     tells anything about. If the union graph (an edge wherever any view
+     has one) has several components, B also annihilates the vectors
+     constant on each component; those orthogonal to the constant take
+     embedding columns, as in spectral clustering (von Luxburg 2007,
+     Props. 2 and 4).
+
+A node with zero degree in some views gets a unit self-loop in each of
+them (see mvgehd.graph.affinity_and_degrees), so those views say nothing
+about it. A node with zero degree in every view raises IsolatedNodeError
+before any eigen-step: B would annihilate its spike, which would take an
+embedding column, and the Jacobi preconditioner below would divide by its
+zero diagonal entry.
 
 Steps 2 and 3 take tangents of concave functions (sqrt(x + epsilon) in
 x = ||p_j||^2, and sqrt in h_v), so the quadratic model
@@ -40,7 +49,7 @@ x = ||p_j||^2, and sqrt in h_v), so the quadratic model
 
 with q and alpha taken at the current F, lies above the reported objective
 up to a constant and touches it at F. Step 4 minimizes Phi over orthonormal
-G orthogonal to the skipped bottom eigenvector, so Phi does not rise across
+G orthogonal to the constant, which F is too, so Phi does not rise across
 a step and the reported objective never rises: the scheme is
 majorize-minimize.
 
@@ -61,10 +70,8 @@ eigen-step, the first (unit row weights) included, picks its backend from
 the graph:
 
   - matrix-free, when n >= 80 (k + 1), the crossover measured at
-    _MATRIX_FREE_NODES_PER_PAIR, and the union graph (an edge wherever any
-    view has one) is connected, which a breadth-first search on a boolean
-    mask decides. LOBPCG (Knyazev 2001) runs on the
-    map X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
+    _MATRIX_FREE_NODES_PER_PAIR. LOBPCG (Knyazev 2001) runs on the map
+    X -> sum_v M_v^T (alpha_v q_v o (M_v X)), applied as
     Z = (alpha_v q_v) o (X - W_v X), then Z - W_v^T Z, in O(m n^2 k) per
     block product; no n-by-n operator is formed. Each product reads every
     view once, in cache-sized row blocks: a block's rows of Z and its share
@@ -77,17 +84,21 @@ the graph:
     their affinities and degrees in O(m n^2).
     The first step starts from a fixed seeded Gaussian block, so repeat
     runs are byte-identical; later steps are warm-started from the current
-    F. The constant vector is deflated, which on a connected union graph
-    is exactly the skipped bottom eigenvector. Every column must then reach
-    a residual ||B x - lambda x|| <= 1e-10, measured here rather than
-    taken from LOBPCG; a step that misses it is redone dense. Eigenvalues
-    are put in ascending order and the sign convention of mvgehd.linalg
-    applies, as on the dense path.
+    F. The constant vector is deflated, as LOBPCG's constraint block.
+    Every column must then reach a residual ||B x - lambda x|| <= 1e-10,
+    measured here rather than taken from LOBPCG; a step that misses it is
+    redone dense. Eigenvalues are put in ascending order and the sign
+    convention of mvgehd.linalg applies, as on the dense path.
   - dense otherwise: BLAS dsyrk adds each view's alpha_v M_v^T Q_v M_v, as
     C_v^T C_v with C_v = sqrt(alpha_v q_v) o M_v, into the lower triangle of
-    one n-by-n sum; a subset eigh that reads only that triangle returns the
-    k + 1 smallest eigenpairs. This path is the oracle the matrix-free one
-    is tested against, and the faster one below the crossover.
+    one n-by-n sum B. Adding 2 trace(B) / n to every entry adds
+    2 trace(B) u u^T for the unit constant vector u, which moves the
+    constant's eigenvalue from 0 to 2 trace(B) and leaves the others: B is
+    positive semi-definite, so none exceeds trace(B), and only on a
+    two-node graph does one equal it. A subset eigh that reads only the
+    lower triangle then returns the k smallest eigenpairs, all orthogonal
+    to the constant. This path is the oracle the matrix-free one is tested
+    against, and the faster one below the crossover.
 """
 
 from __future__ import annotations
@@ -97,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ISOLATED_POLICIES, MultiViewGraph, affinity_and_degrees
+from .graph import IsolatedNodeError, MultiViewGraph, affinity_and_degrees
 from .linalg import _fix_column_signs, smallest_eigenpairs
 
 # Floor on h_v in the auto view weight 1 / (2 sqrt(h_v)): a view the
@@ -152,21 +163,16 @@ class EmbedConfig:
     max_iters: int = 100
     rel_tol: float = 1e-6
     weights: tuple | None = None
-    isolated_policy: str = "error"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"embedding dimension k must be >= 1, got {self.k}")
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise ValueError(f"embedding dimension k must be an integer >= 1, got {self.k!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
-        if self.isolated_policy not in ISOLATED_POLICIES:
-            raise ValueError(
-                f"unknown isolated_policy {self.isolated_policy!r}; "
-                f"expected one of {ISOLATED_POLICIES}")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             if len(w) == 0 or not all(np.isfinite(x) and x > 0 for x in w):
@@ -189,7 +195,7 @@ class ViewOperator:
 
     W (row i of A divided by d_i) is never formed: W X is applied as
     (A X) / d and W^T Z as A^T (Z / d), which hold for any A. `affinity` is
-    the view itself, not a copy, unless isolated nodes were given
+    the view itself, not a copy, unless zero-degree nodes were given
     self-loops (see mvgehd.graph.affinity_and_degrees). M = I - W is
     formed, row-scaled, only by add_operator, for the dense eigen-step.
     """
@@ -197,8 +203,8 @@ class ViewOperator:
     degrees: np.ndarray
 
     @classmethod
-    def from_view(cls, view: np.ndarray, isolated_policy: str = "error") -> ViewOperator:
-        return cls(*affinity_and_degrees(view, isolated_policy))
+    def from_view(cls, view: np.ndarray) -> ViewOperator:
+        return cls(*affinity_and_degrees(view))
 
     def residual(self, embedding: np.ndarray) -> np.ndarray:
         """Residual of each row against its neighbor average: F - W F,
@@ -309,7 +315,7 @@ def embedding_objective(row_norm_sums: np.ndarray, weights=None) -> float:
 def _check_solve_inputs(n: int, m: int, config: EmbedConfig) -> None:
     if config.k + 1 > n:
         raise ValueError(
-            f"need k + 1 <= n to skip the bottom eigenvector: k={config.k}, n={n}")
+            f"need k + 1 <= n for k columns orthogonal to the constant: k={config.k}, n={n}")
     if config.weights is not None and len(config.weights) != m:
         raise ValueError(
             f"{len(config.weights)} fixed weights for {m} views")
@@ -321,34 +327,7 @@ def _matrix_free_applies(graph: MultiViewGraph, k: int) -> bool:
     n = graph.n
     # scipy's LOBPCG hands a block wider than (n - 1) / 5 to its own dense
     # solver, which rejects the deflated constant.
-    if n < _MATRIX_FREE_NODES_PER_PAIR * (k + 1) or n < 5 * (k + 1):
-        return False
-    # Off a connected union graph the bottom eigenspace is not just the
-    # constant, so deflating the constant would answer another problem.
-    return _union_connected(graph.views)
-
-
-def _union_connected(views) -> bool:
-    """Whether the union graph, with an undirected edge i-j wherever some
-    view has a_ij > 0 or a_ji > 0, is connected.
-
-    A breadth-first search on a boolean mask: each node's row is scanned
-    once when it joins the frontier, so O(n^2) work and n^2 bytes, no
-    float temporary.
-    """
-    union = views[0] > 0
-    for view in views[1:]:
-        union |= view > 0
-    # Validation allows a_ij > 0 = a_ji within SYMMETRY_TOL; such an edge
-    # joins i and j either way.
-    union |= union.T
-    reached = np.zeros(union.shape[0], dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = union[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    return bool(reached.all())
+    return n >= _MATRIX_FREE_NODES_PER_PAIR * (k + 1) and n >= 5 * (k + 1)
 
 
 def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
@@ -366,7 +345,7 @@ def _matrix_free_embedding(ops, row_weights, alphas, start: np.ndarray):
             out += op.apply(block, scale)
         return out
 
-    # Positive on a connected union graph: every node has an edge in some view.
+    # Positive: solve has checked that every node has an edge in some view.
     diagonal = sum(op.diagonal(scale) for op, scale in zip(ops, scales))
     try:
         with warnings.catch_warnings():
@@ -401,7 +380,12 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
     """
     n, m = graph.n, graph.m
     _check_solve_inputs(n, m, config)
-    ops = [ViewOperator.from_view(v, config.isolated_policy) for v in graph.views]
+    ops = [ViewOperator.from_view(v) for v in graph.views]
+    # The views have no diagonal, so a node whose one edge is a self-loop
+    # had zero degree (see the module docstring).
+    alone = np.logical_and.reduce([np.diagonal(op.affinity) == op.degrees for op in ops])
+    if alone.any():
+        raise IsolatedNodeError(np.flatnonzero(alone)[0])
 
     if config.weights is not None:
         alphas = np.array(config.weights, dtype=np.float64)
@@ -419,7 +403,10 @@ def solve(graph: MultiViewGraph, config: EmbedConfig, on_update=None):
             total = np.zeros((n, n), order="F")
             for op, q, w in zip(ops, row_weights, weights):
                 total = op.add_operator(total, float(w) * q)
-            f_next = smallest_eigenpairs(total, config.k + 1).eigenvectors[:, 1:]
+            # Moves the constant to the top of the spectrum (see the module
+            # docstring).
+            total += 2.0 * np.trace(total) / n
+            f_next = smallest_eigenpairs(total, config.k).eigenvectors
         return f_next
 
     # Deterministic start: unweighted operators (unit row weights), equal

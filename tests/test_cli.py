@@ -670,7 +670,7 @@ class TestSubjectPipeline:
     def test_embedding_dimension_checked_before_any_solve(self, cohort_dir, tmp_path,
                                                           capsys, monkeypatch, command):
         # The cohort's subjects have 50 nodes, so k = 49 is the largest
-        # that leaves the bottom eigenvector to skip.
+        # whose columns fit orthogonal to the constant.
         self.fail_any_solve(tmp_path, monkeypatch)
         flags = {"cluster-subjects": ["--embed-k", 50],
                  "sweep-k": ["--truth", cohort_dir / "cohort_truth.json",
@@ -721,11 +721,12 @@ class TestSubjectPipeline:
         out = tmp_path / "c"
         assert run("generate", "--out", out, "--n", 20, "--clusters", 2, "--views", 2,
                    "--seed", 3, "--cohort", "2,2") == 0
-        view = out / read(out / "cohort.json")["subjects"][2].replace(
-            "manifest.json", "view_1.csv")
-        a = load_matrix_csv(view)
-        a[7, :] = a[:, 7] = 0.0
-        save_matrix_csv(a, view)
+        # Node 7 of subject 2 has zero degree in both views.
+        subject = out / read(out / "cohort.json")["subjects"][2]
+        for view in (subject.parent / "view_0.csv", subject.parent / "view_1.csv"):
+            a = load_matrix_csv(view)
+            a[7, :] = a[:, 7] = 0.0
+            save_matrix_csv(a, view)
         code = run("cluster-subjects", "--cohort", out / "cohort.json", "--embed-k", 2,
                    "--seed", 0, "--out", tmp_path / "subj.json")
         assert code == 1
@@ -857,7 +858,7 @@ OWNED_DEFAULTS = [  # (command, argparse dest, owning dataclass, field)
         ("noise", "noise_sigma"), ("hub_spread", "hub_spread"))],
     *[(command, dest, EmbedConfig, field) for command in EMBEDDING_COMMANDS
       for dest, field in (("epsilon", "epsilon"), ("max_iters", "max_iters"),
-                          ("tol", "rel_tol"), ("isolated_policy", "isolated_policy"))],
+                          ("tol", "rel_tol"))],
     *[(command, "restarts", KMeansConfig, "restarts")
       for command in ("cluster-nodes", "cluster-subjects", "sweep-k")],
 ]

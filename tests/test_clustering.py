@@ -150,6 +150,14 @@ class TestKMeans:
     def test_config_takes_none_and_non_negative_integers(self, seed):
         assert KMeansConfig(seed=seed).seed == seed
 
+    @pytest.mark.parametrize("restarts", [2.5, 2.0, "2", 0])
+    def test_config_rejects_restarts_that_are_not_a_positive_integer(self, restarts):
+        with pytest.raises(ValueError, match=f"restarts must be an integer >= 1, got {restarts!r}"):
+            KMeansConfig(restarts=restarts)
+
+    def test_config_takes_numpy_integer_restarts(self):
+        assert KMeansConfig(restarts=np.int64(3)).restarts == 3
+
     def test_rejects_k_above_distinct_points(self, monkeypatch):
         # Eight points at two locations: with k = 4, Lloyd would re-seed an
         # empty cluster on every iteration of every restart, up to its cap.

@@ -25,6 +25,7 @@ from mvgehd.graph import (
     save_multiview,
     validate_affinity,
 )
+from mvgehd.solver import EmbedConfig, solve
 
 
 def write_manifest(tmp_path, matrices, transform="reject", node_names=None):
@@ -147,9 +148,12 @@ class TestRandomWalk:
         np.testing.assert_allclose(a / d[:, None], (np.ones((3, 3)) - np.eye(3)) / 2)
 
     def test_isolated_error_reports_index(self):
+        # solve raises it for a node with zero degree in every view.
+        view = np.ones((4, 4)) - np.eye(4)
+        view[2, :] = view[:, 2] = 0.0
         with pytest.raises(IsolatedNodeError) as err:
-            affinity_and_degrees(np.zeros((2, 2)))
-        assert err.value.index == 0
+            solve(MultiViewGraph(views=(view, view)), EmbedConfig(k=1))
+        assert err.value.index == 2
 
     def test_isolated_error_survives_pickle(self):
         # Worker processes hand exceptions back pickled.
@@ -160,7 +164,7 @@ class TestRandomWalk:
 
     def test_self_loop_policy(self):
         view = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float)
-        a, d = affinity_and_degrees(view, isolated_policy="self_loop")
+        a, d = affinity_and_degrees(view)
         np.testing.assert_array_equal(d, [1, 1, 1])
         assert a[0, 0] == 1.0
         # The loop goes into a copy; the view is left as it was.

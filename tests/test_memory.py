@@ -97,15 +97,17 @@ def test_dense_solve_holds_the_sum_and_one_view_buffer():
 
 
 def test_dense_solve_sums_operators_in_one_buffer(graph):
-    # Node 7 isolated in every view, given a self-loop: the union graph is
-    # disconnected, so every eigen-step runs dense on n-by-n operators.
+    # A different node isolated in each view, which gives it a self-loop in
+    # a copy of that view, so every view is copied. n = 400 is below the
+    # matrix-free crossover at k = 5 (480 nodes), so every eigen-step runs
+    # dense on n-by-n operators.
     views = []
-    for v in graph.views:
+    for node, v in zip((7, 8, 9), graph.views):
         a = np.array(v)
-        a[7, :] = a[:, 7] = 0.0
+        a[node, :] = a[:, node] = 0.0
         views.append(a)
     isolated = MultiViewGraph(views=tuple(views))
-    config = EmbedConfig(k=5, max_iters=2, isolated_policy="self_loop")
+    config = EmbedConfig(k=5, max_iters=2)
     solve(isolated, config)
     (_, _, trace), peak = peak_above_start(lambda: solve(isolated, config))
     assert trace.iterations == 2

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components
 
 import mvgehd.solver
+from mvgehd.clustering import KMeansConfig, node_clusters
 from mvgehd.graph import SYMMETRY_TOL, IsolatedNodeError, MultiViewGraph
 from mvgehd.linalg import _fix_column_signs
+from mvgehd.metrics import nmi
 from mvgehd.solver import (
     EmbedConfig,
     ViewOperator,
@@ -92,12 +93,6 @@ class TestWalkResidual:
                          for i in range(5)])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_isolated_node_error(self):
-        a = np.zeros((3, 3))
-        a[1, 2] = a[2, 1] = 1.0
-        with pytest.raises(IsolatedNodeError):
-            ViewOperator.from_view(a)
-
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             ViewOperator.from_view(SWAP).residual(np.zeros((3, 1)))
@@ -172,18 +167,16 @@ def case_operator(rng, case, n=9):
     """A random view's operator; `case` adds a partial self-loop, an isolated
     node given a self-loop, or a one-directional edge within SYMMETRY_TOL."""
     a = random_affinity(rng, n)
-    policy = "error"
     if case == "partial_loop":
         a[2, 2] = 0.7
     elif case == "isolated":
         a[2, :] = a[:, 2] = 0.0
-        policy = "self_loop"
     elif case == "asymmetric":
         # Validation lets a one-directional edge through within
         # SYMMETRY_TOL; only W^T = (A / d)^T, not W, applies it right.
         a[3, 5], a[5, 3] = 0.0, SYMMETRY_TOL / 2
         a = MultiViewGraph(views=(a,)).views[0]
-    return ViewOperator.from_view(a, isolated_policy=policy)
+    return ViewOperator.from_view(a)
 
 
 OPERATOR_CASES = ["random", "partial_loop", "isolated", "asymmetric"]
@@ -224,6 +217,16 @@ class TestViewAddOperator:
             lower = lower_operator(op, rng.uniform(0.1, 2.0, size=6))
             assert np.linalg.eigvalsh(lower, UPLO="L").min() >= -1e-10
 
+    def test_zero_degree_node_drops_out(self):
+        # Its self-loop makes its row of W a point mass on itself, so the
+        # contrast M is zero in its row and its column: the view says
+        # nothing about it.
+        rng = np.random.default_rng(38)
+        op = case_operator(rng, "isolated")
+        lower = lower_operator(op, rng.uniform(0.1, 2.0, size=9))
+        full = lower + np.tril(lower, -1).T
+        assert not full[2].any() and not full[:, 2].any()
+
     def test_kernel_contains_constants(self):
         rng = np.random.default_rng(4)
         op = ViewOperator.from_view(random_affinity(rng, 8))
@@ -253,7 +256,7 @@ class TestViewDiagonal:
             op = ViewOperator.from_view(a)
         else:
             a[2, :] = a[:, 2] = 0.0
-            op = ViewOperator.from_view(a, isolated_policy="self_loop")
+            op = ViewOperator.from_view(a)
         assert op.affinity[2, 2] != 0
         q = rng.uniform(0.1, 2.0, size=8)
         np.testing.assert_allclose(op.diagonal(q), np.diag(laplacian(op, q)),
@@ -354,9 +357,18 @@ class TestEmbeddingObjective:
 
 
 class TestEmbedConfig:
-    def test_rejects_unknown_isolated_policy(self):
-        with pytest.raises(ValueError, match="isolated_policy"):
-            EmbedConfig(k=2, isolated_policy="drop")
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", 2.0), ("k", "2"), ("k", 0),
+        ("max_iters", 1.5), ("max_iters", -1)])
+    def test_rejects_a_size_that_is_not_a_whole_number_in_range(self, field, value):
+        fields = {"k": 2, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be an integer >= \d, got {value!r}"):
+            EmbedConfig(**fields)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.int32(3), 3])
+    def test_takes_numpy_integers(self, value):
+        config = EmbedConfig(k=value, max_iters=value)
+        assert config.k == config.max_iters == 3
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
     def test_rejects_bad_epsilon(self, value):
@@ -447,7 +459,6 @@ class TestSolve:
     def test_two_clique_recovery(self):
         # Two disconnected 5-cliques; the informative direction separates
         # them, and 2-means on the 1-column embedding recovers the cliques.
-        from mvgehd.clustering import KMeansConfig, node_clusters
         from mvgehd.metrics import accuracy
         a = np.zeros((10, 10))
         a[:5, :5] = 1.0
@@ -476,6 +487,12 @@ class TestSolve:
         for c in (0.1, 10.0):
             scaled, _, _ = solve(MultiViewGraph(views=(c * v1, v2)), EmbedConfig(k=3))
             np.testing.assert_allclose(scaled, base, atol=1e-10)
+
+    def test_two_node_graph(self):
+        # The operator has rank one, so its largest eigenvalue equals its
+        # trace; the dense step still shifts the constant above it.
+        f, _, _ = solve(MultiViewGraph(views=(SWAP,)), EmbedConfig(k=1))
+        np.testing.assert_allclose(f, [[np.sqrt(0.5)], [-np.sqrt(0.5)]], rtol=0, atol=1e-15)
 
     def test_k_too_large(self):
         rng = np.random.default_rng(10)
@@ -578,8 +595,8 @@ def dense_solve(monkeypatch, graph, config):
 
 def force_matrix_free(monkeypatch):
     """Drop the crossover from the matrix-free rule, leaving its n >= 5 (k + 1)
-    guard and connectivity test: graphs below the crossover, which would
-    solve dense, run matrix-free."""
+    guard: graphs below the crossover, which would solve dense, run
+    matrix-free."""
     monkeypatch.setattr(mvgehd.solver, "_MATRIX_FREE_NODES_PER_PAIR", 0)
 
 
@@ -609,6 +626,21 @@ def assert_matches_dense_oracle(monkeypatch, graph, config):
     assert np.all(f[pivots, np.arange(config.k)] > 0)
 
 
+def assert_backends_agree(monkeypatch, graph, config):
+    """A matrix-free solve takes no dense step, as many iterations as the
+    dense one and ends with FF^T within 1e-8 of it; both embeddings are
+    orthogonal to the constant. Returns (F, F_dense)."""
+    f_dense, _, trace_dense = dense_solve(monkeypatch, graph, config)
+    dense_calls = count_dense_eigensolves(monkeypatch)
+    f, _, trace = solve(graph, config)
+    assert dense_calls == []
+    assert trace.iterations == trace_dense.iterations
+    assert np.max(np.abs(f @ f.T - f_dense @ f_dense.T)) <= 1e-8
+    for emb in (f, f_dense):
+        assert np.max(np.abs(emb.sum(axis=0))) <= 1e-10
+    return f, f_dense
+
+
 def assert_same_solve(got, want):
     f, alphas, trace = got
     f_want, alphas_want, trace_want = want
@@ -619,72 +651,22 @@ def assert_same_solve(got, want):
     assert (trace.iterations, trace.converged) == (trace_want.iterations, trace_want.converged)
 
 
-def csgraph_components(views):
-    return connected_components(sum(views) > 0, directed=False)[0]
+def cut_off(graph, labels, modules):
+    """`graph` with every edge between the nodes of `modules` (by planted
+    label) and the other nodes removed in every view."""
+    inside = np.isin(labels, modules)
+    across = inside[:, None] != inside[None, :]
+    return MultiViewGraph(views=tuple(np.where(across, 0.0, v) for v in graph.views))
 
 
-def two_cliques(bridge):
-    """Views of two 4-cliques; `bridge` links node 3 to node 4 in view 1."""
-    clique = np.ones((4, 4)) - np.eye(4)
-    a = np.zeros((8, 8))
-    a[:4, :4] = a[4:, 4:] = clique
-    b = np.zeros((8, 8))
-    if bridge == "one_directional":
-        # Validation lets a_ij > 0 = a_ji through within SYMMETRY_TOL. Node 0
-        # reaches node 4 only against this edge's direction.
-        b[4, 3] = SYMMETRY_TOL / 2
-    elif bridge == "both":
-        b[3, 4] = b[4, 3] = 0.5
-    return MultiViewGraph(views=(a, b)).views
-
-
-class TestUnionConnectivity:
-    """The matrix-free rule's connectivity test, against scipy's
-    connected_components on the summed views as the oracle."""
-
-    @pytest.mark.parametrize("bridge, want", [
-        ("both", True), ("one_directional", True), ("none", False)])
-    def test_two_cliques(self, bridge, want):
-        views = two_cliques(bridge)
-        assert mvgehd.solver._union_connected(views) is want
-        assert (csgraph_components(views) == 1) == want
-
-    def test_isolated_node_under_self_loop(self, monkeypatch):
-        # The operator gives node 7 a self-loop, which joins it to nothing.
-        views = []
-        for v in planted_graph(200, 0).views:
-            a = np.array(v)
-            a[7, :] = a[:, 7] = 0.0
-            views.append(a)
-        g = MultiViewGraph(views=tuple(views))
-        op = ViewOperator.from_view(g.views[0], isolated_policy="self_loop")
-        assert op.affinity[7, 7] == 1.0
-        assert csgraph_components(g.views) == 2
-        assert not mvgehd.solver._union_connected(g.views)
-        force_matrix_free(monkeypatch)
-        assert not mvgehd.solver._matrix_free_applies(g, 3)
-
-    def test_random_unions_match_oracle(self):
-        rng = np.random.default_rng(40)
-        components = []
-        for _ in range(300):
-            n, m = int(rng.integers(2, 40)), int(rng.integers(1, 4))
-            # Edge density around the connectivity threshold, so both
-            # outcomes and several components are common.
-            p = rng.uniform(0.3, 1.5) * np.log(n) / n / m
-            views = []
-            for _ in range(m):
-                upper = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < p), 1)
-                a = upper + upper.T
-                i, j = rng.integers(0, n, size=2)
-                if i != j and a[i, j] == 0 and rng.random() < 0.5:
-                    a[i, j] = SYMMETRY_TOL / 2
-                views.append(a)
-            views = MultiViewGraph(views=tuple(views)).views
-            components.append(csgraph_components(views))
-            assert mvgehd.solver._union_connected(views) == (components[-1] == 1)
-        assert 0.2 < np.mean(np.equal(components, 1)) < 0.8
-        assert np.mean(np.greater(components, 2)) > 0.2
+def isolate(graph, nodes_per_view):
+    """`graph` with the nodes of nodes_per_view[v] given zero degree in view v."""
+    views = []
+    for v, nodes in zip(graph.views, nodes_per_view):
+        a = np.array(v)
+        a[nodes, :] = a[:, nodes] = 0.0
+        views.append(a)
+    return MultiViewGraph(views=tuple(views))
 
 
 def complete_graph(n):
@@ -692,7 +674,7 @@ def complete_graph(n):
 
 
 class TestBackendRule:
-    """Which connected graphs solve matrix-free, by n and k: from
+    """Which graphs solve matrix-free, by n and k: from
     n = _MATRIX_FREE_NODES_PER_PAIR (k + 1), and never below LOBPCG's
     n = 5 (k + 1)."""
 
@@ -719,8 +701,8 @@ class TestBackendRule:
 
 class TestMatrixFreeEigenStep:
     """Every eigen-step, the unit-weight first one included, runs
-    Jacobi-preconditioned LOBPCG on connected graphs inside the rule; the
-    dense path is their oracle. The graphs here, at n = 200..400, are below
+    Jacobi-preconditioned LOBPCG on graphs inside the rule; the dense path
+    is their oracle. The graphs here, at n = 200..400, are below
     the crossover, so the tests force the matrix-free path."""
 
     @pytest.fixture(autouse=True)
@@ -813,23 +795,49 @@ class TestMatrixFreeEigenStep:
         assert len(calls) == got[2].iterations + 1 >= 3  # the first step included
         assert_same_solve(got, want)
 
-    @pytest.mark.parametrize("case", ["disconnected", "block_too_large"])
+    @pytest.mark.parametrize("n, modules, k", [
+        (150, [0], 3), (400, [0], 3), (480, [0], 5), (400, [0, 1], 3)],
+        ids=["n150-cut0-k3", "n400-cut0-k3", "n480-cut0-k5", "n400-cut01-k3"])
+    def test_disconnected_graph_matches_dense_oracle(self, monkeypatch, n, modules, k):
+        # One or two modules cut off in every view: the operator also
+        # annihilates the vectors constant on each component, and those
+        # orthogonal to the constant take embedding columns on both paths.
+        graph, truth = generate_multiview(PlantedSpec(n=n, clusters=4, hubs=6, views=2, seed=1))
+        g = cut_off(graph, truth.labels, modules)
+        for emb in assert_backends_agree(monkeypatch, g, EmbedConfig(k=k)):
+            labels = node_clusters(emb, 4, KMeansConfig(seed=0))
+            assert nmi(labels, truth.labels) >= 0.95
+
+    @pytest.mark.parametrize("case", ["block_too_large"])
     def test_stays_dense_outside_the_rule(self, monkeypatch, case):
-        if case == "disconnected":
-            # Node 7 is isolated in every view, so the bottom eigenspace of
-            # the operator is two-dimensional, not just the constant.
-            views = []
-            for v in planted_graph(300, 0).views:
-                a = np.array(v)
-                a[7, :] = a[:, 7] = 0.0
-                views.append(a)
-            g = MultiViewGraph(views=tuple(views))
-            config = EmbedConfig(k=3, isolated_policy="self_loop")
-        else:
-            # scipy's LOBPCG cannot take a block wider than (n - 1) / 5 with
-            # the constant deflated.
-            g = planted_graph(200, 0)
-            config = EmbedConfig(k=40, max_iters=3)
+        # scipy's LOBPCG cannot take a block wider than (n - 1) / 5 with
+        # the constant deflated.
+        g = planted_graph(200, 0)
+        config = EmbedConfig(k=40, max_iters=3)
         want = dense_solve(monkeypatch, g, config)
         monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", None)
         assert_same_solve(solve(g, config), want)
+
+
+class TestZeroDegree:
+    """A node with zero degree in some views drops out of those views and is
+    placed by the others; one with zero degree in every view is rejected
+    before any eigen-step."""
+
+    @pytest.mark.parametrize("backend", ["dense", "matrix_free"])
+    def test_node_isolated_in_every_view_is_rejected(self, monkeypatch, backend):
+        g = isolate(planted_graph(300, 0), [[40, 7], [7, 40]])
+        if backend == "matrix_free":
+            force_matrix_free(monkeypatch)
+        assert mvgehd.solver._matrix_free_applies(g, 3) == (backend == "matrix_free")
+        # An eigen-step would fail with a TypeError.
+        monkeypatch.setattr(mvgehd.solver, "smallest_eigenpairs", None)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", None)
+        with pytest.raises(IsolatedNodeError) as err:
+            solve(g, EmbedConfig(k=3))
+        assert err.value.index == 7
+
+    def test_node_isolated_in_one_view_is_placed_by_the_others(self, monkeypatch):
+        g = isolate(planted_graph(300, 0), [[7], [40]])
+        force_matrix_free(monkeypatch)
+        assert_backends_agree(monkeypatch, g, EmbedConfig(k=3))
